@@ -1,15 +1,19 @@
 """Simulator-performance microbenchmarks (not a paper artifact).
 
 Measures the reproduction's own throughput: vectorised functional
-arithmetic, structural micro-op simulation, the cache simulator and a full
-workload execution.  Useful for regression-tracking the simulator itself.
+arithmetic, structural micro-op simulation, the per-access cache
+simulator, a cold GPU locality measurement (chunked trace through the
+set-partitioned lockstep simulator) and a full workload execution.
+Useful for regression-tracking the simulator itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.baselines.cache import Cache
+from repro.baselines.cache import Cache, hierarchy_fractions
+from repro.baselines.gpu import GPUModel
 from repro.core.approximation import ApproxSpec
 from repro.core.engine import APIMEngine
 from repro.core.multiplier import APIMMultiplier
@@ -74,6 +78,25 @@ def test_cache_simulator_throughput(benchmark):
         return cache.stats.misses
 
     benchmark(run)
+
+
+@pytest.mark.parametrize("name", ["FFT", "DwtHaar1D"])
+def test_cold_gpu_locality_throughput(benchmark, name):
+    """What ``GPUModel.measure_locality`` costs on a memo miss: the
+    workload's default-tile trace through the R9 390's L1/L2."""
+    model = GPUModel()
+    cfg = model.config
+    profile = workload_by_name(name).profile()
+
+    def run():
+        return hierarchy_fractions(
+            profile.trace(model.DEFAULT_TILE_ELEMENTS),
+            cfg.line_bytes,
+            (cfg.l1_bytes, 8),
+            (cfg.l2_bytes, 16),
+        )
+
+    assert benchmark(run) == model.measure_locality(profile)
 
 
 def test_workload_execution_throughput(benchmark):

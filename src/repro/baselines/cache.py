@@ -12,6 +12,17 @@ Components:
 - :class:`Cache` — set-associative, true-LRU, write-back/write-allocate.
 - :class:`CacheHierarchy` — an inclusive two-level stack over DRAM;
   returns, per access, the level that served it.
+- :class:`LockstepLRU` / :func:`hierarchy_fractions` — the fast path the
+  GPU and CPU models use.  Cache sets are independent, so each chunk of
+  line addresses is partitioned by set index with a stable sort; repeat
+  accesses to a set's MRU line are dropped (each is a hit and leaves the
+  LRU order unchanged); the rest run through a ``(sets, ways)`` tag array
+  and an LRU-stamp array, one "round" per access rank, with every set
+  that has an access at that rank advanced in the same vector step.  L2
+  runs the same way on L1's miss stream, with its own set count.  Which
+  level serves an access does not depend on dirty state, so write flags
+  are not consulted.  :class:`Cache`/:class:`CacheHierarchy` remain the
+  per-access reference the fast path is tested against.
 - :class:`TLB` — a fully-associative LRU translation buffer; misses model
   the page-walk cost that grows with dataset footprint (one of the two
   mechanisms behind Figure 5's widening GPU gap).
@@ -20,11 +31,21 @@ Components:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Cache", "CacheHierarchy", "CacheStats", "TLB"]
+__all__ = [
+    "Cache",
+    "CacheHierarchy",
+    "CacheStats",
+    "LockstepLRU",
+    "TLB",
+    "hierarchy_fractions",
+]
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -168,6 +189,136 @@ class CacheHierarchy:
         self.l1.reset_stats()
         self.l2.reset_stats()
         self.dram_accesses = 0
+
+
+def _set_count(size_bytes: int, line_bytes: int, ways: int) -> int:
+    """Sets of a ``size_bytes`` cache, validated as :class:`Cache` does."""
+    if ways <= 0:
+        raise ConfigurationError(f"ways must be positive: {ways}")
+    if size_bytes <= 0 or size_bytes % (line_bytes * ways):
+        raise ConfigurationError(
+            f"capacity {size_bytes} not divisible by line*ways "
+            f"({line_bytes}*{ways})"
+        )
+    return size_bytes // (line_bytes * ways)
+
+
+class LockstepLRU:
+    """Hit/miss behaviour of one set-associative true-LRU cache level,
+    with all sets advanced together in numpy.
+
+    Agrees with :class:`Cache` access-for-access on which accesses hit;
+    it keeps no dirty bits, so it counts no evictions or writebacks.
+    """
+
+    def __init__(self, sets: int, ways: int) -> None:
+        if not _is_power_of_two(sets):
+            raise ConfigurationError(f"set count {sets} not a power of two")
+        if ways <= 0:
+            raise ConfigurationError(f"ways must be positive: {ways}")
+        self.sets = sets
+        self.ways = ways
+        self.hits = 0
+        self.misses = 0
+        self._index_bits = sets.bit_length() - 1
+        # Empty ways hold tag -1 and stamp -1, so they are filled first.
+        self._tags = np.full((sets, ways), -1, dtype=np.int64)
+        self._stamps = np.full((sets, ways), -1, dtype=np.int64)
+        self._clock = 0
+
+    def access(self, lines: np.ndarray) -> np.ndarray:
+        """Run a chunk of line addresses (in access order); returns the
+        lines that missed, in access order."""
+        count = lines.size
+        if count == 0:
+            return lines
+        index = lines & (self.sets - 1)
+        order = _stable_order(index, self.sets)
+        index = index[order]
+        by_set = lines[order]
+        first = np.empty(count, dtype=bool)
+        first[0] = True
+        np.not_equal(index[1:], index[:-1], out=first[1:])
+        # A repeat of the set's previous line is an MRU hit: drop it.
+        keep = first.copy()
+        np.not_equal(by_set[1:], by_set[:-1], out=keep[1:])
+        keep[1:] |= first[1:]
+        kept = int(np.count_nonzero(keep))
+        self.hits += count - kept
+        # Rank of each access within its set: round r advances every set
+        # that has an (r+1)-th access in this chunk, in one vector step.
+        starts = np.flatnonzero(first[keep])
+        rank = np.arange(kept) - np.repeat(starts, np.diff(starts, append=kept))
+        rounds = _stable_order(rank, kept)
+        where = order[keep][rounds]
+        index = index[keep][rounds]
+        tags = (by_set[keep] >> self._index_bits)[rounds]
+        bounds = np.cumsum(np.bincount(rank)).tolist()
+        ways = self.ways
+        tag_slots = self._tags.reshape(-1)
+        stamp_slots = self._stamps.reshape(-1)
+        missed = []
+        lo = 0
+        for hi in bounds:
+            sets, tag = index[lo:hi], tags[lo:hi]
+            held = np.take(self._tags, sets, axis=0)
+            slot = sets * ways + (held == tag[:, None]).argmax(axis=1)
+            miss = np.flatnonzero(tag_slots[slot] != tag)
+            if miss.size:
+                sets = sets[miss]
+                victim = np.take(self._stamps, sets, axis=0).argmin(axis=1)
+                slot[miss] = sets * ways + victim
+                tag_slots[slot[miss]] = tag[miss]
+                missed.append(where[lo + miss])
+            stamp_slots[slot] = self._clock
+            self._clock += 1
+            lo = hi
+        positions = np.sort(np.concatenate(missed or [where[:0]]))
+        self.hits += kept - positions.size
+        self.misses += positions.size
+        return lines[positions]
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative ``keys`` below ``bound``; 16-bit
+    keys take numpy's linear-time radix sort."""
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def hierarchy_fractions(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+    line_bytes: int,
+    l1: tuple[int, int],
+    l2: tuple[int, int],
+) -> tuple[float, float, float]:
+    """Per-access service fractions ``(l1, l2, dram)`` of an address
+    trace given as ``(addrs, writes)`` numpy chunks, through an L1 and an
+    L2 each given as ``(size_bytes, ways)``.
+
+    Equal, bit for bit, to counting :meth:`CacheHierarchy.access` results
+    over the same accesses with :class:`Cache` levels of the same
+    geometry.
+    """
+    if not _is_power_of_two(line_bytes):
+        raise ConfigurationError(f"line size {line_bytes} not a power of two")
+    offset_bits = line_bytes.bit_length() - 1
+    upper, lower = (
+        LockstepLRU(_set_count(size, line_bytes, ways), ways)
+        for size, ways in (l1, l2)
+    )
+    total = dram = 0
+    for addrs, _writes in chunks:
+        if addrs.size == 0:
+            continue
+        if addrs.min() < 0:
+            raise ConfigurationError(f"negative address {addrs.min()}")
+        total += addrs.size
+        dram += lower.access(upper.access(addrs >> offset_bits)).size
+    if total == 0:
+        raise ConfigurationError("trace emitted no accesses")
+    return upper.hits / total, lower.hits / total, dram / total
 
 
 class TLB:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.cache import Cache, CacheHierarchy, TLB
+from repro.baselines.cache import TLB
 from repro.baselines.dram import DRAMModel
-from repro.baselines.gpu import GPUEstimate, WorkloadProfile
+from repro.baselines.gpu import GPUEstimate, WorkloadProfile, trace_locality
 from repro.errors import ConfigurationError
 from repro.units import PJ, US
 
@@ -74,35 +74,21 @@ class CPUModel:
 
     def __init__(self, config: CPUConfig | None = None) -> None:
         self.config = config or CPUConfig()
-        self._measured: dict[str, tuple[float, float, float]] = {}
 
     def measure_locality(
         self, profile: WorkloadProfile, tile_elements: int | None = None
     ) -> tuple[float, float, float]:
-        """Per-access (l1, l2, dram) service fractions, memoised by name."""
-        if profile.name in self._measured:
-            return self._measured[profile.name]
+        """Per-access (l1, l2, dram) service fractions through an 8-way
+        L1 and a 16-way L2, from the simulator and memo the GPU model
+        uses."""
         cfg = self.config
-        hierarchy = CacheHierarchy(
-            Cache(cfg.l1_bytes, cfg.line_bytes, ways=8, name="l1"),
-            Cache(cfg.l2_bytes, cfg.line_bytes, ways=16, name="l2"),
+        return trace_locality(
+            profile,
+            tile_elements or self.DEFAULT_TILE_ELEMENTS,
+            cfg.line_bytes,
+            (cfg.l1_bytes, 8),
+            (cfg.l2_bytes, 16),
         )
-        counts = {"l1": 0, "l2": 0, "dram": 0}
-        total = 0
-        for addr, is_write in profile.trace(
-            tile_elements or self.DEFAULT_TILE_ELEMENTS
-        ):
-            counts[hierarchy.access(addr, is_write)] += 1
-            total += 1
-        if total == 0:
-            raise ConfigurationError(f"profile {profile.name} emitted no trace")
-        fractions = (
-            counts["l1"] / total,
-            counts["l2"] / total,
-            counts["dram"] / total,
-        )
-        self._measured[profile.name] = fractions
-        return fractions
 
     def _walk_cost(self, footprint: float) -> float:
         cfg = self.config

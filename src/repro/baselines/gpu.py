@@ -16,6 +16,13 @@ Model structure, per kernel invocation over a dataset of ``n`` bytes:
 - **Cache traffic**: per-element L1/L2 hit counts come from running the
   workload's address trace over a scaled tile (capacity behaviour
   saturates once the tile exceeds L2, which every paper dataset does).
+  Traces are emitted as bounded numpy chunks (:data:`TRACE_CHUNK`
+  accesses at most) and priced by the set-partitioned lockstep LRU
+  simulator :func:`~repro.baselines.cache.hierarchy_fractions`.  The
+  fractions are a pure function of the profile, the tile and the cache
+  geometry, so one process-wide memo (:data:`LOCALITY_MEMO`, used by
+  :func:`trace_locality`) serves every GPU and CPU model; concurrent
+  cold misses on one key compute once.
 - **DRAM traffic**: L2 misses stream from the DDR4 DIMMs with
   footprint-dependent row locality.
 - **Address translation**: a TLB + radix-walk model; page-table footprint
@@ -31,15 +38,38 @@ All constants carry their derivation in :class:`GPUConfig`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from repro.baselines.cache import Cache, CacheHierarchy, TLB
+import numpy as np
+
+from repro.baselines.cache import TLB, hierarchy_fractions
 from repro.baselines.dram import DRAMModel
 from repro.errors import ConfigurationError
 from repro.units import PJ, US
 
-__all__ = ["GPUConfig", "GPUModel", "WorkloadProfile", "GPUEstimate"]
+__all__ = [
+    "GPUConfig",
+    "GPUModel",
+    "WorkloadProfile",
+    "GPUEstimate",
+    "LOCALITY_MEMO",
+    "LocalityMemo",
+    "TRACE_CHUNK",
+    "TraceChunk",
+    "affine_trace",
+    "row_trace",
+    "trace_locality",
+]
+
+#: Most accesses one trace chunk may hold: bounds the simulator's
+#: working memory whatever the trace length.
+TRACE_CHUNK = 1 << 16
+
+#: One chunk of an address trace: int64 byte addresses and, per access,
+#: whether it is a write.
+TraceChunk = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -49,7 +79,8 @@ class WorkloadProfile:
     Attributes
     ----------
     name:
-        Workload label (memoisation key for trace measurements).
+        Workload label (with the tile and cache geometry, the memo key of
+        trace measurements).
     element_bytes:
         Bytes of input data per element (the dataset-size axis unit).
     flops_per_element:
@@ -60,8 +91,10 @@ class WorkloadProfile:
         Number of sweeps over the dataset as a function of element count
         (1 for stencils, ``log2 n`` for FFT/DWT).
     trace:
-        Callable ``(elements) -> iterable[(addr, is_write)]`` producing the
-        tile address trace measured by the cache simulator.
+        Callable ``(elements) -> iterable[(addrs, writes)]`` producing the
+        tile address trace measured by the cache simulator, in access
+        order, as numpy chunks of at most :data:`TRACE_CHUNK` accesses
+        (``addrs`` int64 byte addresses, ``writes`` bool).
     """
 
     name: str
@@ -70,13 +103,114 @@ class WorkloadProfile:
     reads_per_element: float
     writes_per_element: float
     passes: Callable[[int], float]
-    trace: Callable[[int], Iterable[tuple[int, bool]]]
+    trace: Callable[[int], Iterable[TraceChunk]]
 
     def elements(self, dataset_bytes: float) -> int:
         """Element count of a dataset."""
         if dataset_bytes <= 0:
             raise ConfigurationError("dataset size must be positive")
         return max(1, int(dataset_bytes // self.element_bytes))
+
+
+def row_trace(
+    rows: int,
+    writes: Sequence[bool],
+    addresses: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[TraceChunk]:
+    """Chunks of a trace made of ``rows`` rows of one shape.
+
+    ``writes`` is the write flag of each access in a row, and
+    ``addresses(i)`` maps an int64 array of row indices to the
+    ``(len(i), len(writes))`` byte addresses of those rows.  Rows are
+    packed into chunks of at most :data:`TRACE_CHUNK` accesses; a longer
+    row is split across chunks.
+    """
+    flags = np.asarray(writes, dtype=bool)
+    step = max(1, TRACE_CHUNK // flags.size)
+    for start in range(0, rows, step):
+        index = np.arange(start, min(rows, start + step), dtype=np.int64)
+        addrs = addresses(index).reshape(-1)
+        tiled = np.tile(flags, index.size)
+        for lo in range(0, addrs.size, TRACE_CHUNK):
+            yield addrs[lo:lo + TRACE_CHUNK], tiled[lo:lo + TRACE_CHUNK]
+
+
+def affine_trace(
+    rows: int, columns: Sequence[tuple[int, int, bool]]
+) -> Iterator[TraceChunk]:
+    """A :func:`row_trace` whose access ``c`` of row ``i`` is at
+    ``offset_c + i * stride_c``, given ``columns`` of
+    ``(offset, stride, is_write)``."""
+    offsets, strides, writes = (np.array(part) for part in zip(*columns))
+    offsets = offsets.astype(np.int64)
+    strides = strides.astype(np.int64)
+    return row_trace(
+        rows, writes, lambda index: offsets + index[:, None] * strides
+    )
+
+
+class LocalityMemo:
+    """A thread-safe, single-flight memo: the first caller of a missing
+    key computes it while later callers of that key wait for the value.
+    A failed computation stores nothing and lets one waiter retry."""
+
+    def __init__(self) -> None:
+        self._values: dict[Hashable, tuple[float, float, float]] = {}
+        self._pending: dict[Hashable, threading.Event] = {}
+        self._lock = threading.Lock()
+
+    def get(
+        self,
+        key: Hashable,
+        compute: Callable[[], tuple[float, float, float]],
+    ) -> tuple[float, float, float]:
+        """The value of ``key``, computing it with ``compute`` if absent."""
+        while True:
+            with self._lock:
+                if key in self._values:
+                    return self._values[key]
+                pending = self._pending.get(key)
+                if pending is None:
+                    pending = self._pending[key] = threading.Event()
+                    break
+            pending.wait()
+        try:
+            value = compute()
+            with self._lock:
+                self._values[key] = value
+            return value
+        finally:
+            with self._lock:
+                del self._pending[key]
+            pending.set()
+
+
+#: Locality fractions by (profile name, tile elements, line bytes, L1
+#: and L2 (size, ways)), shared by every GPU and CPU model in the process.
+LOCALITY_MEMO = LocalityMemo()
+
+
+def trace_locality(
+    profile: WorkloadProfile,
+    tile_elements: int,
+    line_bytes: int,
+    l1: tuple[int, int],
+    l2: tuple[int, int],
+) -> tuple[float, float, float]:
+    """Per-access service fractions ``(l1, l2, dram)`` of ``profile``'s
+    trace over a tile, through L1/L2 caches given as ``(size_bytes,
+    ways)``; memoised in :data:`LOCALITY_MEMO`."""
+
+    def simulate() -> tuple[float, float, float]:
+        try:
+            return hierarchy_fractions(
+                profile.trace(tile_elements), line_bytes, l1, l2
+            )
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"profile {profile.name}: {exc}") from exc
+
+    key = (profile.name, tile_elements, line_bytes, l1, l2)
+    return LOCALITY_MEMO.get(key, simulate)
 
 
 @dataclass(frozen=True)
@@ -144,7 +278,6 @@ class GPUModel:
 
     def __init__(self, config: GPUConfig | None = None) -> None:
         self.config = config or GPUConfig()
-        self._measured: dict[str, tuple[float, float, float]] = {}
 
     # -- trace measurement ------------------------------------------------
 
@@ -153,31 +286,17 @@ class GPUModel:
     ) -> tuple[float, float, float]:
         """Per-access service fractions ``(l1, l2, dram)`` for a profile.
 
-        Runs the profile's address trace over a tile through the L1/L2
-        simulators.  Results are memoised by profile name.
+        Runs the profile's address trace over a tile through an 8-way L1
+        and a 16-way L2 (see :func:`trace_locality`).
         """
-        if profile.name in self._measured:
-            return self._measured[profile.name]
-        tile = tile_elements or self.DEFAULT_TILE_ELEMENTS
         cfg = self.config
-        hierarchy = CacheHierarchy(
-            Cache(cfg.l1_bytes, cfg.line_bytes, ways=8, name="l1"),
-            Cache(cfg.l2_bytes, cfg.line_bytes, ways=16, name="l2"),
+        return trace_locality(
+            profile,
+            tile_elements or self.DEFAULT_TILE_ELEMENTS,
+            cfg.line_bytes,
+            (cfg.l1_bytes, 8),
+            (cfg.l2_bytes, 16),
         )
-        counts = {"l1": 0, "l2": 0, "dram": 0}
-        total = 0
-        for addr, is_write in profile.trace(tile):
-            counts[hierarchy.access(addr, is_write)] += 1
-            total += 1
-        if total == 0:
-            raise ConfigurationError(f"profile {profile.name} emitted no trace")
-        fractions = (
-            counts["l1"] / total,
-            counts["l2"] / total,
-            counts["dram"] / total,
-        )
-        self._measured[profile.name] = fractions
-        return fractions
 
     # -- translation model ---------------------------------------------------
 

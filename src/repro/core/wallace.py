@@ -44,13 +44,17 @@ _ONE = np.uint64(1)
 def csa_step(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One 3:2 carry-save addition: ``(sum, carry)`` with
-    ``sum + carry == a + b + c`` (modulo 2**64)."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    c = np.asarray(c, dtype=np.uint64)
-    total = a ^ b ^ c
-    carry = ((a & b) | (b & c) | (c & a)) << _ONE
+    """One 3:2 carry-save addition of uint64 operands: ``(sum, carry)``
+    with ``sum + carry == a + b + c`` (modulo 2**64).
+
+    The carry is the bitwise majority ``(a & b) | (c & (a ^ b))``; both
+    outputs are built in two fresh buffers, updated in place.
+    """
+    total = a ^ b
+    carry = a & b
+    carry |= c & total
+    carry <<= _ONE
+    total ^= c
     return total, carry
 
 

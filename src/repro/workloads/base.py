@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import TraceChunk, WorkloadProfile, affine_trace
 from repro.core.engine import APIMEngine
 from repro.errors import WorkloadError
 
@@ -120,16 +120,14 @@ class Workload(abc.ABC):
         elements: int,
         element_bytes: int,
         out_base: int | None = None,
-    ) -> Iterable[tuple[int, bool]]:
+    ) -> Iterator[TraceChunk]:
         """Row-scan stencil trace helper: per element, read at each offset
         then write one output element."""
         out_base = out_base if out_base is not None else base + (1 << 30)
-        offs = list(offsets)
-        for i in range(elements):
-            addr = base + i * element_bytes
-            for off in offs:
-                yield addr + off * element_bytes, False
-            yield out_base + i * element_bytes, True
+        columns = [(base + off * element_bytes, element_bytes, False)
+                   for off in offsets]
+        columns.append((out_base, element_bytes, True))
+        return affine_trace(elements, columns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, kind={self.kind!r})"

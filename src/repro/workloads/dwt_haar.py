@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import WorkloadProfile, row_trace
 from repro.core.engine import APIMEngine
 from repro.errors import WorkloadError
 from repro.workloads.base import Workload, WorkloadData
@@ -111,10 +111,17 @@ class DwtHaar1DWorkload(Workload):
         n = 1 << 19  # 2 MB of samples: twice the R9 390's L2
         size = n
         approx_base = 1 << 28  # ping-pong buffer for approximations
+        eb = self.element_bytes
         for _level in range(3):
-            for i in range(0, size, 2):
-                yield i * self.element_bytes, False
-                yield (i + 1) * self.element_bytes, False
-                yield approx_base + (i // 2) * self.element_bytes, True
-                yield (n - size + i // 2) * self.element_bytes, True
+
+            def pairs(j: np.ndarray, size: int = size) -> np.ndarray:
+                # Pair j reads samples 2j and 2j+1, then writes approximation
+                # j to the ping-pong buffer and detail j in place.
+                return np.stack(
+                    [2 * j * eb, (2 * j + 1) * eb, approx_base + j * eb,
+                     (n - size + j) * eb],
+                    axis=1,
+                )
+
+            yield from row_trace(size // 2, [False, False, True, True], pairs)
             size //= 2

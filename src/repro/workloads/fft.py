@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import WorkloadProfile, row_trace
 from repro.core.engine import APIMEngine
 from repro.errors import WorkloadError
 from repro.workloads.base import Workload, WorkloadData
@@ -157,12 +157,13 @@ class FFTWorkload(Workload):
         the ``log2 n`` real ones; the GPU model scales traffic by the true
         pass count."""
         n = 1 << 18  # 2 MB of complex samples: twice the R9 390's L2
+        eb = self.element_bytes
         for half in (4, n // 8, n // 2):
-            for group_start in range(0, n, 2 * half):
-                for k in range(half):
-                    top = (group_start + k) * self.element_bytes
-                    bot = (group_start + k + half) * self.element_bytes
-                    yield top, False
-                    yield bot, False
-                    yield top, True
-                    yield bot, True
+
+            def butterflies(j: np.ndarray, half: int = half) -> np.ndarray:
+                # Butterfly j: group j // half, offset j % half within it.
+                top = ((j // half) * 2 * half + j % half) * eb
+                bot = top + half * eb
+                return np.stack([top, bot, top, bot], axis=1)
+
+            yield from row_trace(n // 2, [False, False, True, True], butterflies)

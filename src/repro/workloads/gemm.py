@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import WorkloadProfile, row_trace
 from repro.core.engine import APIMEngine
 from repro.errors import WorkloadError
 from repro.workloads.base import Workload, WorkloadData
@@ -82,12 +82,20 @@ class GEMMWorkload(Workload):
         return float(side), float(side)
 
     def _trace(self, elements: int):
+        """Row ``i * side + j`` computes C[i, j]: A[i, k] and B[k, j]
+        interleaved over ``k``, then the write of C[i, j]."""
         side = self.matrix_side(elements)
         b_base = 1 << 27
         c_base = 1 << 28
-        for i in range(side):
-            for j in range(side):
-                for k in range(side):
-                    yield (i * side + k) * self.element_bytes, False
-                    yield b_base + (k * side + j) * self.element_bytes, False
-                yield c_base + (i * side + j) * self.element_bytes, True
+        eb = self.element_bytes
+        k = np.arange(side, dtype=np.int64)
+
+        def addresses(cell: np.ndarray) -> np.ndarray:
+            i, j = (cell // side)[:, None], (cell % side)[:, None]
+            out = np.empty((cell.size, 2 * side + 1), dtype=np.int64)
+            out[:, 0:-1:2] = (i * side + k) * eb
+            out[:, 1:-1:2] = b_base + (k * side + j) * eb
+            out[:, -1] = c_base + cell * eb
+            return out
+
+        return row_trace(side * side, [False] * (2 * side) + [True], addresses)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import WorkloadProfile, affine_trace
 from repro.core.engine import APIMEngine
 from repro.errors import WorkloadError
 from repro.workloads.base import Workload, WorkloadData
@@ -146,10 +146,11 @@ class NeuralWorkload(Workload):
         weight_base = 1 << 27
         out_base = 1 << 28
         weight_words = INPUT_DIM * HIDDEN_DIM + HIDDEN_DIM * CLASSES
-        for i in range(min(elements, 4096)):
-            for k in range(INPUT_DIM):
-                yield (i * INPUT_DIM + k) * self.element_bytes, False
-            for w in range(0, weight_words, 8):
-                yield weight_base + w * self.element_bytes, False
-            for c in range(CLASSES):
-                yield out_base + (i * CLASSES + c) * self.element_bytes, True
+        eb = self.element_bytes
+        return affine_trace(
+            min(elements, 4096),
+            [(k * eb, INPUT_DIM * eb, False) for k in range(INPUT_DIM)]
+            + [(weight_base + w * eb, 0, False)
+               for w in range(0, weight_words, 8)]
+            + [(out_base + c * eb, CLASSES * eb, True) for c in range(CLASSES)],
+        )

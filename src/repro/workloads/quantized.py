@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import WorkloadProfile, affine_trace
 from repro.core.engine import APIMEngine
 from repro.errors import WorkloadError
 from repro.workloads.base import Workload, WorkloadData
@@ -167,10 +167,10 @@ class QuantizedLayerWorkload(Workload):
         weight_base = 1 << 27
         out_base = 1 << 28
         weight_words = CHANNELS * TAPS + CLASSES * CHANNELS
-        for i in range(min(elements, 4096)):
-            for s in range(LENGTH):
-                yield (i * LENGTH + s) * self.element_bytes, False
-            for w in range(weight_words):
-                yield weight_base + w * self.element_bytes, False
-            for c in range(CLASSES):
-                yield out_base + (i * CLASSES + c) * self.element_bytes, True
+        eb = self.element_bytes
+        return affine_trace(
+            min(elements, 4096),
+            [(s * eb, LENGTH * eb, False) for s in range(LENGTH)]
+            + [(weight_base + w * eb, 0, False) for w in range(weight_words)]
+            + [(out_base + c * eb, CLASSES * eb, True) for c in range(CLASSES)],
+        )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import WorkloadProfile, affine_trace
 from repro.core.engine import APIMEngine
 from repro.workloads.base import Workload, WorkloadData
 from repro.workloads.registry import register_workload
@@ -105,7 +105,10 @@ class QuasiRandomWorkload(Workload):
 
     def _trace(self, elements: int):
         out_base = 1 << 28
-        for i in range(elements):
-            yield i * self.element_bytes, False
-            for d in range(len(BASES)):
-                yield out_base + (i * len(BASES) + d) * self.element_bytes, True
+        eb = self.element_bytes
+        dims = len(BASES)
+        return affine_trace(
+            elements,
+            [(0, eb, False)]
+            + [(out_base + d * eb, dims * eb, True) for d in range(dims)],
+        )

@@ -71,4 +71,4 @@ class RobertWorkload(Workload):
     def _trace(self, elements: int):
         rows, cols = image_shape_for(elements)
         offsets = [0, 1, cols, cols + 1]
-        yield from self._strided_trace(0, offsets, elements, self.element_bytes)
+        return self._strided_trace(0, offsets, elements, self.element_bytes)

@@ -69,4 +69,4 @@ class SharpenWorkload(Workload):
         rows, cols = image_shape_for(elements)
         offsets = [-cols, -1, 0, 1, cols]
         base = self.element_bytes * (cols + 1)
-        yield from self._strided_trace(base, offsets, elements, self.element_bytes)
+        return self._strided_trace(base, offsets, elements, self.element_bytes)

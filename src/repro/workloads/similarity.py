@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from repro.baselines.gpu import WorkloadProfile
+from repro.baselines.gpu import WorkloadProfile, affine_trace
 from repro.core.approximation import EXACT
 from repro.core.cost import Cost
 from repro.core.engine import APIMEngine
@@ -163,7 +163,9 @@ class SimilarityWorkload(Workload):
 
     def _trace(self, elements: int):
         out_base = 1 << 28
-        for i in range(min(elements, 1 << 16)):
-            for w in range(DIM // 64):
-                yield (i * (DIM // 64) + w) * 8, False
-            yield out_base + i * 8, True
+        words = DIM // 64
+        return affine_trace(
+            min(elements, 1 << 16),
+            [(w * 8, words * 8, False) for w in range(words)]
+            + [(out_base, 8, True)],
+        )

@@ -75,6 +75,6 @@ class SobelWorkload(Workload):
         rows, cols = image_shape_for(elements)
         offsets = [dy * cols + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
         base = self.element_bytes * (cols + 1)  # keep offsets non-negative
-        yield from self._strided_trace(
+        return self._strided_trace(
             base, offsets, elements, self.element_bytes
         )

@@ -33,8 +33,11 @@ class TestCPUModel:
 
     def test_locality_memoised(self, cpu, sobel_profile):
         first = cpu.measure_locality(sobel_profile, 1 << 12)
-        second = cpu.measure_locality(sobel_profile, 1 << 14)
-        assert first == second
+        # Served from the process-wide memo, by any CPU model instance.
+        assert CPUModel().measure_locality(sobel_profile, 1 << 12) is first
+        # The GPU's caches are a different geometry: a different entry.
+        gpu = GPUModel().measure_locality(sobel_profile, 1 << 12)
+        assert gpu is not first
 
     def test_fractions_sum_to_one(self, cpu, sobel_profile):
         l1, l2, dram = cpu.measure_locality(sobel_profile, 1 << 13)

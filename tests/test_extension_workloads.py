@@ -95,13 +95,17 @@ class TestGEMM:
         assert workload.matrix_side(10**6) == 64
 
     def test_trace_valid(self):
-        count = 0
-        for addr, is_write in GEMMWorkload().profile().trace(64):
-            assert addr >= 0
-            count += 1
-            if count > 3000:
-                break
-        assert count > 0
+        chunks = list(GEMMWorkload().profile().trace(64))
+        assert chunks
+        for addrs, writes in chunks:
+            assert addrs.dtype == np.int64 and writes.dtype == bool
+            assert addrs.shape == writes.shape
+            assert (addrs >= 0).all()
+        # Per C element: 8 A/B read pairs (side 8) then one write.
+        flags = np.concatenate([writes for _, writes in chunks])
+        assert flags.size == 8 * 8 * 17
+        assert flags.reshape(64, 17)[:, -1].all()
+        assert not flags.reshape(64, 17)[:, :-1].any()
 
 
 class TestNeural:

@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.gpu import GPUConfig, GPUModel, WorkloadProfile
+import sys
+import threading
+import time
+
+import numpy as np
+
+from repro.baselines.gpu import (
+    GPUConfig,
+    GPUModel,
+    LocalityMemo,
+    WorkloadProfile,
+    affine_trace,
+    row_trace,
+)
 from repro.errors import ConfigurationError
 from repro.units import GIB, MIB
 
@@ -12,9 +25,7 @@ from repro.units import GIB, MIB
 def _simple_profile(name="stream", reads=1.0, writes=1.0, flops=4.0,
                     passes=None):
     def trace(elements):
-        for i in range(elements):
-            yield i * 4, False
-            yield (1 << 28) + i * 4, True
+        return affine_trace(elements, [(0, 4, False), (1 << 28, 4, True)])
 
     return WorkloadProfile(
         name=name,
@@ -52,10 +63,77 @@ class TestLocalityMeasurement:
         assert l1 > 0.8
         assert dram < 0.2
 
-    def test_memoised_by_name(self, gpu):
-        first = gpu.measure_locality(_simple_profile(name="memo"), 1024)
-        second = gpu.measure_locality(_simple_profile(name="memo"), 2048)
-        assert first == second  # second call served from the memo
+    @staticmethod
+    def _two_sweeps(name, calls=None):
+        """Sweep ``elements`` lines twice: the second sweep hits in L1
+        while the lines fit there, and in L2 once they do not."""
+
+        def trace(elements):
+            if calls is not None:
+                calls.append(elements)
+                time.sleep(0.05)  # hold the key in flight
+            return row_trace(
+                2, [False] * elements,
+                lambda sweep: np.broadcast_to(
+                    np.arange(elements, dtype=np.int64) * 64,
+                    (sweep.size, elements)),
+            )
+
+        return WorkloadProfile(
+            name=name, element_bytes=64, flops_per_element=1,
+            reads_per_element=1, writes_per_element=0,
+            passes=lambda n: 1.0, trace=trace,
+        )
+
+    def test_memo_keyed_by_name_tile_and_geometry(self, gpu):
+        profile = self._two_sweeps("memo-key")
+        assert gpu.measure_locality(profile, 1024) == (0.5, 0.0, 0.5)
+        # A tile beyond the 512 KiB L1 is a different key, not a memo hit.
+        assert gpu.measure_locality(profile, 1 << 14) == (0.0, 0.5, 0.5)
+        # So is another cache geometry at the same name and tile.
+        small = GPUModel(GPUConfig(l1_bytes=32 * 1024))
+        assert small.measure_locality(profile, 1024) == (0.0, 0.5, 0.5)
+        # The memo is process-wide: a fresh model is served from it.
+        assert GPUModel().measure_locality(profile, 1024) == (0.5, 0.0, 0.5)
+
+    def test_concurrent_cold_misses_compute_once(self):
+        calls = []
+        profile = self._two_sweeps("memo-single-flight", calls)
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(
+                    GPUModel().measure_locality(profile, 256)))
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == [256]
+        assert results == [(0.5, 0.0, 0.5)] * 8
+
+    def test_failed_computation_is_not_memoised(self):
+        memo = LocalityMemo()
+        attempts = []
+
+        def flaky():
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise ConfigurationError("first attempt fails")
+            return (1.0, 0.0, 0.0)
+
+        with pytest.raises(ConfigurationError):
+            memo.get("key", flaky)
+        assert memo.get("key", flaky) == (1.0, 0.0, 0.0)
+        assert memo.get("key", flaky) == (1.0, 0.0, 0.0)
+        assert len(attempts) == 2
 
     def test_empty_trace_rejected(self, gpu):
         profile = WorkloadProfile(

@@ -112,14 +112,11 @@ class TestStridedTraceHelper:
     def test_read_then_write_pattern(self):
         from repro.workloads.base import Workload
 
-        trace = list(
-            Workload._strided_trace(
-                base=64, offsets=[-1, 0, 1], elements=4, element_bytes=4
-            )
+        (addrs, writes), = Workload._strided_trace(
+            base=64, offsets=[-1, 0, 1], elements=4, element_bytes=4
         )
         # Per element: three reads then one write.
-        assert len(trace) == 16
-        reads = [t for t in trace if not t[1]]
-        writes = [t for t in trace if t[1]]
-        assert len(reads) == 12 and len(writes) == 4
-        assert all(addr >= 0 for addr, _ in trace)
+        assert addrs.size == 16
+        assert writes.tolist() == [False, False, False, True] * 4
+        assert addrs[:4].tolist() == [60, 64, 68, 64 + (1 << 30)]
+        assert (addrs >= 0).all()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.wallace import (
     csa_step,
@@ -36,6 +38,22 @@ class TestCsaStep:
         s, c = csa_step(np.uint64(1), np.uint64(1), np.uint64(0))
         assert int(s) == 0
         assert int(c) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(*[st.integers(0, (1 << 64) - 1)] * 3),
+        min_size=1, max_size=64,
+    ))
+    def test_bit_exact_against_textbook_formula(self, triples):
+        """XOR sum and shifted three-term majority, computed apart."""
+        a, b, c = (np.array(column, dtype=np.uint64)
+                   for column in zip(*triples))
+        inputs = [a.copy(), b.copy(), c.copy()]
+        s, cy = csa_step(a, b, c)
+        assert np.array_equal(s, a ^ b ^ c)
+        assert np.array_equal(cy, ((a & b) | (b & c) | (c & a)) << np.uint64(1))
+        # The operands are left untouched.
+        assert all(np.array_equal(x, y) for x, y in zip(inputs, (a, b, c)))
 
 
 class TestReduceToTwo:

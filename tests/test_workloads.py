@@ -109,12 +109,11 @@ class TestPerWorkload:
 
     def test_trace_addresses_valid(self, workload):
         count = 0
-        for addr, is_write in workload.profile().trace(256):
-            assert addr >= 0
-            assert isinstance(is_write, bool)
-            count += 1
-            if count >= 5000:
-                break
+        for addrs, writes in workload.profile().trace(256):
+            assert addrs.dtype == np.int64 and writes.dtype == bool
+            assert addrs.shape == writes.shape
+            assert (addrs >= 0).all()
+            count += addrs.size
         assert count > 0
 
     def test_rejects_non_positive_elements(self, workload):

@@ -1,10 +1,13 @@
 """Simulator-performance microbenchmarks (not a paper artifact).
 
 Measures the reproduction's own throughput: vectorised functional
-arithmetic, structural micro-op simulation, the per-access cache
-simulator, a cold GPU locality measurement (chunked trace through the
-set-partitioned lockstep simulator) and a full workload execution.
-Useful for regression-tracking the simulator itself.
+arithmetic (exact, and relaxed at 8/16/32 bits, where only the
+carry-save bits the approximate final stage reads are built), structural
+micro-op simulation, the per-access cache simulator, a cold GPU locality
+measurement (chunked trace through the set-partitioned lockstep
+simulator), a cold executor tile run and a full workload execution.
+Useful for regression-tracking the simulator itself; CI runs this file
+with ``--benchmark-disable`` so every arm stays runnable.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.core.approximation import ApproxSpec
 from repro.core.engine import APIMEngine
 from repro.core.multiplier import APIMMultiplier
 from repro.crossbar.structural_multiplier import StructuralMultiplier
+from repro.runtime.executor import APIMExecutor
 from repro.workloads import workload_by_name
 
 RNG = np.random.default_rng(77)
@@ -35,14 +39,33 @@ def test_functional_multiplier_throughput(benchmark):
     assert cycles > 0
 
 
-def test_functional_multiplier_approx_throughput(benchmark):
+@pytest.mark.parametrize("relax_bits", [8, 16, 32])
+def test_functional_multiplier_approx_throughput(benchmark, relax_bits):
     mult = APIMMultiplier()
-    spec = ApproxSpec.last_stage(32)
+    spec = ApproxSpec.last_stage(relax_bits)
 
     def run():
-        return mult.multiply(A, B, spec).cost.cycles
+        return mult.multiply(A, B, spec).products
 
-    benchmark(run)
+    products = benchmark(run)
+    exact = A * B
+    diff = np.where(products >= exact, products - exact, exact - products)
+    assert np.all(diff < np.uint64(1) << np.uint64(relax_bits))
+
+
+def test_cold_executor_tile_throughput(benchmark):
+    """One cold 1 Ki-element NeuralNet tile at relax 8: a fresh executor
+    and engine per run, as a cold shard prices it."""
+    workload = workload_by_name("NeuralNet")
+    spec = ApproxSpec.last_stage(8)
+
+    def run():
+        return APIMExecutor().run(
+            workload, spec=spec, elements=1024, rng=np.random.default_rng(2017)
+        )
+
+    result = benchmark(run)
+    assert result.mul_count > 0
 
 
 def test_engine_signed_mac_throughput(benchmark):

@@ -12,15 +12,31 @@ Figure 1(b)-(d) over NumPy arrays:
    exact or with the last-stage approximation
    (:func:`repro.core.approximation.approximate_final_add`).
 
+Only what the final stage reads is computed.  Let ``P = a * b`` be the
+exact product (it fits in ``uint64`` since N <= 32).  The survivors always
+sum to ``P``, so an exact final add (relax 0) *is* ``P`` and no tree is
+built.  With ``r`` relaxed bits the result is
+``(P & ~low) | (~(cin >> 1) & low)`` where ``cin = x ^ y ^ P`` is the
+ripple carry-in vector and ``low`` masks the ``r`` LSBs: only bits
+``<= r`` of ``x ^ y`` matter, and
+:func:`~repro.core.wallace.reduce_partial_products_low` builds exactly
+those.  Products are therefore bit-identical to reducing all N rows with
+:func:`~repro.core.wallace.reduce_partial_products_vectorised` and
+applying :func:`~repro.core.approximation.approximate_final_add` — the
+oracle the tests check this path against.
+
 Latency and energy are charged per array element from the canonical
 formulas in :mod:`repro.core.timing`; because every per-element cost is a
 pure function of the multiplier's popcount, array-wide cost evaluation is a
-popcount histogram away from the scalar model.
+popcount histogram away from the scalar model.  The per-popcount cost
+table depends only on ``(word_bits, relax_bits)``, so it is computed once
+per process and shared by every multiplier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +51,7 @@ from repro.core.cost import Cost
 from repro.core.timing import cost_multiply
 from repro.core.wallace import (
     reduce_partial_products,
-    reduce_partial_products_vectorised,
+    reduce_partial_products_low,
 )
 from repro.errors import ConfigurationError
 
@@ -45,6 +61,15 @@ __all__ = ["APIMMultiplier", "MultiplyResult", "popcount"]
 def popcount(values: np.ndarray) -> np.ndarray:
     """Per-element set-bit count of a uint64 array."""
     return np.bitwise_count(np.asarray(values, dtype=np.uint64))
+
+
+@lru_cache(maxsize=None)
+def _cost_table(word_bits: int, relax_bits: int) -> tuple[tuple[float, ...], ...]:
+    """Fields of one multiply's cost for every multiplier popcount."""
+    return tuple(
+        astuple(cost_multiply(word_bits, set_bits, relax_bits))
+        for set_bits in range(word_bits + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -77,8 +102,6 @@ class APIMMultiplier:
                 "(products must fit in uint64)"
             )
         self._operand_mask = np.uint64((1 << n) - 1)
-        # Per-popcount cost tables, built lazily per relax setting.
-        self._cost_tables: dict[tuple[int, int], list[Cost]] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -95,16 +118,23 @@ class APIMMultiplier:
         av = self._check_operands(a, "multiplicand")
         bv = self._check_operands(b, "multiplier")
         b_eff = mask_multiplier(bv, spec.masked_bits, n)
-        x, y = reduce_partial_products_vectorised(av, b_eff, n)
-        products = approximate_final_add(x, y, 2 * n, spec.relax_bits)
-        if spec.relax_bits:
+        counts = popcount(b_eff)
+        exact = av * b_eff
+        relax = spec.relax_bits
+        products = exact
+        if relax:
+            # Survivors only matter through bits <= relax of x ^ y.
+            x, y = reduce_partial_products_low(av, b_eff, n, min(relax + 1, 64))
+            carries_in = (x ^ y).astype(np.uint64) ^ exact
+            low = np.uint64((1 << relax) - 1)
+            products = (exact & ~low) | (~(carries_in >> np.uint64(1)) & low)
             # Multipliers with at most one set bit never enter the final
             # stage (the lone partial product *is* the product), so no
             # approximation is applied to them in hardware.
-            trivial = popcount(b_eff) <= 1
+            trivial = counts <= 1
             if np.any(trivial):
-                products = np.where(trivial, av * b_eff, products)
-        cost = self._array_cost(b_eff, spec)
+                products = np.where(trivial, exact, products)
+        cost = self._array_cost(counts, relax)
         return MultiplyResult(products=products, cost=cost)
 
     def multiply_scalar(
@@ -151,25 +181,18 @@ class APIMMultiplier:
             )
         return array
 
-    def _cost_table(self, relax_bits: int) -> list[Cost]:
-        """Cost of one multiply for every possible multiplier popcount."""
-        n = self.config.word_bits
-        key = (n, relax_bits)
-        table = self._cost_tables.get(key)
-        if table is None:
-            table = [cost_multiply(n, c, relax_bits) for c in range(n + 1)]
-            self._cost_tables[key] = table
-        return table
+    def _array_cost(self, counts: np.ndarray, relax_bits: int) -> Cost:
+        """Aggregate cost over an array of multiplier popcounts.
 
-    def _array_cost(self, multipliers: np.ndarray, spec: ApproxSpec) -> Cost:
-        """Aggregate cost over an array via a popcount histogram."""
-        counts = popcount(multipliers)
-        histogram = np.bincount(
-            counts.ravel().astype(np.int64), minlength=self.config.word_bits + 1
-        )
-        table = self._cost_table(spec.relax_bits)
-        total = Cost()
+        Fields are summed as plain floats in ascending-popcount order, the
+        same operations :meth:`Cost.scaled` and ``+`` would perform.
+        """
+        n = self.config.word_bits
+        histogram = np.bincount(counts.ravel(), minlength=n + 1).tolist()
+        table = _cost_table(n, relax_bits)
+        totals = [0.0] * len(table[0])
         for set_bits, occurrences in enumerate(histogram):
             if occurrences:
-                total += table[set_bits].scaled(int(occurrences))
-        return total
+                for field, value in enumerate(table[set_bits]):
+                    totals[field] += value * occurrences
+        return Cost(*totals)

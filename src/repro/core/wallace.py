@@ -20,6 +20,20 @@ patterns, though never their sum) depends on the multiplier's popcount.
 :func:`reduce_partial_products_vectorised` groups all N rows including
 zeros, which preserves sums exactly and error statistics to within noise
 (asserted by ``tests/test_cross_validation.py``).
+
+Low-bit survivors: the approximate final stage only reads the ``r + 1``
+least significant bits of the survivors' XOR (``r`` relaxed bits).  Every
+carry-save operation is bitwise or a *left* shift, so bit ``j`` of a
+survivor depends only on bits ``<= j`` of the partial-product rows, and
+row ``i`` (the multiplicand shifted left by ``i``) is zero below bit
+``i``.  :func:`reduce_partial_products_low` therefore builds only rows
+``i < bits``, treats the rest as known zeros, and runs the same grouping
+as :func:`reduce_to_two` on the narrowest unsigned dtype holding ``bits``
+bits: a group of three live operands is a full 3:2 step, two live operands
+a half adder, one passes through.  Its survivors equal the full tree's in
+their ``bits`` LSBs, which is exactly what the final stage needs.
+:func:`reduce_partial_products_vectorised` stays as the full-width oracle
+the tests check this against.
 """
 
 from __future__ import annotations
@@ -36,16 +50,20 @@ __all__ = [
     "partial_products",
     "reduce_partial_products",
     "reduce_partial_products_vectorised",
+    "reduce_partial_products_low",
 ]
 
 _ONE = np.uint64(1)
+
+#: Unsigned lane types, narrowest first, for the low-bit reduction.
+_LANE_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def csa_step(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One 3:2 carry-save addition of uint64 operands: ``(sum, carry)``
-    with ``sum + carry == a + b + c`` (modulo 2**64).
+    """One 3:2 carry-save addition of unsigned operands: ``(sum, carry)``
+    with ``sum + carry == a + b + c`` (modulo 2**width of their dtype).
 
     The carry is the bitwise majority ``(a & b) | (c & (a ^ b))``; both
     outputs are built in two fresh buffers, updated in place.
@@ -53,7 +71,7 @@ def csa_step(
     total = a ^ b
     carry = a & b
     carry |= c & total
-    carry <<= _ONE
+    carry <<= 1
     total ^= c
     return total, carry
 
@@ -70,17 +88,35 @@ def reduce_to_two(operands: Sequence[np.ndarray | int]) -> tuple[np.ndarray, np.
     current = [np.asarray(op, dtype=np.uint64) for op in operands]
     if len(current) == 1:
         return current[0], np.zeros_like(current[0])
-    while len(current) > 2:
-        nxt: list[np.ndarray] = []
-        for i in range(0, len(current) - 2, 3):
-            s, c = csa_step(current[i], current[i + 1], current[i + 2])
-            nxt.append(s)
-            nxt.append(c)
-        remainder = len(current) % 3
+    x, y = _carry_save_tree(current)
+    return x, y
+
+
+def _carry_save_tree(operands: list) -> list:
+    """Stage-by-stage grouping in threes down to at most two operands.
+
+    ``None`` marks a known-zero operand: a group of three live operands
+    is a full 3:2 step, two live ones a half adder, one passes through as
+    the sum with a known-zero carry.  Leftovers pass to the next stage.
+    """
+    while len(operands) > 2:
+        nxt: list = []
+        for i in range(0, len(operands) - 2, 3):
+            live = [op for op in operands[i : i + 3] if op is not None]
+            if len(live) == 3:
+                nxt.extend(csa_step(*live))
+            elif len(live) == 2:
+                p, q = live
+                carry = p & q
+                carry <<= 1
+                nxt.extend((p ^ q, carry))
+            else:
+                nxt.extend((live[0] if live else None, None))
+        remainder = len(operands) % 3
         if remainder:
-            nxt.extend(current[-remainder:])
-        current = nxt
-    return current[0], current[1]
+            nxt.extend(operands[-remainder:])
+        operands = nxt
+    return operands
 
 
 def partial_products(
@@ -111,8 +147,42 @@ def reduce_partial_products_vectorised(
     every array element follows the same reduction schedule — this is what
     makes the transform expressible as a fixed sequence of vector ops.
     ``x + y == a * b`` exactly.
+
+    This is the full-width reference: the functional multiplier builds
+    only the low survivor bits (:func:`reduce_partial_products_low`) and
+    the tests check it against this tree.
     """
     return reduce_to_two(partial_products(a, b, word_bits))
+
+
+def reduce_partial_products_low(
+    a: np.ndarray, b: np.ndarray, word_bits: int, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`reduce_partial_products_vectorised` survivors, built only
+    in their ``bits`` least significant bits (see the module docstring).
+
+    Returns two arrays of the narrowest unsigned dtype holding ``bits``
+    bits whose ``bits`` LSBs equal the full-width survivors'; any higher
+    bits of that dtype are meaningless (rows ``>= bits`` were dropped).
+    """
+    if not 1 <= word_bits <= 32:
+        raise ConfigurationError(f"word_bits {word_bits} outside [1, 32]")
+    if not 1 <= bits <= 64:
+        raise ConfigurationError(f"bits {bits} outside [1, 64]")
+    dtype = next(dt for dt in _LANE_DTYPES if np.iinfo(dt).bits >= bits)
+    # Integer casts wrap, keeping exactly the low bits of the lane.
+    av = np.asarray(a, dtype=np.uint64).astype(dtype)
+    bv = np.asarray(b, dtype=np.uint64).astype(dtype)
+    live = min(word_bits, bits)
+    # All live rows in one broadcast: row i is (a << i) * bit_i(b).
+    ndim = max(av.ndim, bv.ndim)
+    shifts = np.arange(live, dtype=dtype).reshape((live,) + (1,) * ndim)
+    rows = (av << shifts) * ((bv >> shifts) & dtype(1))
+    operands = _carry_save_tree(list(rows) + [None] * (word_bits - live))
+    zero = np.zeros(rows.shape[1:], dtype=dtype)
+    x = operands[0]
+    y = operands[1] if len(operands) > 1 else None
+    return (zero if x is None else x), (zero if y is None else y)
 
 
 def reduce_partial_products(a: int, b: int, word_bits: int) -> tuple[int, int]:

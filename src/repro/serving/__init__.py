@@ -21,36 +21,40 @@ is the tier that turns the single-process reproduction into a service:
   ``repro serve``.
 
 See ``docs/serving.md`` for the architecture and tuning guide.
+
+Re-exports resolve lazily (module ``__getattr__``), so importing one
+submodule — the subprocess worker, say — does not drag in the HTTP stack
+or the pool.
 """
 
-from repro.serving.http import JsonHttpServer
-from repro.serving.pool import Client, CrossbarPool, PoolShard
-from repro.serving.runtime import (
-    InlineRuntime,
-    ShardRuntime,
-    SubprocessRuntime,
-    ThreadRuntime,
-)
-from repro.serving.scheduler import (
-    BatchingScheduler,
-    ResultStore,
-    ServeRequest,
-    ServeResult,
-    ServingConfig,
-)
+from __future__ import annotations
 
-__all__ = [
-    "BatchingScheduler",
-    "Client",
-    "CrossbarPool",
-    "InlineRuntime",
-    "JsonHttpServer",
-    "PoolShard",
-    "ResultStore",
-    "ServeRequest",
-    "ServeResult",
-    "ServingConfig",
-    "ShardRuntime",
-    "SubprocessRuntime",
-    "ThreadRuntime",
-]
+import importlib
+
+#: Re-exported name -> the module that defines it.
+_EXPORTS = {
+    "BatchingScheduler": "repro.serving.scheduler",
+    "Client": "repro.serving.pool",
+    "CrossbarPool": "repro.serving.pool",
+    "InlineRuntime": "repro.serving.runtime",
+    "JsonHttpServer": "repro.serving.http",
+    "PoolShard": "repro.serving.pool",
+    "ResultStore": "repro.serving.scheduler",
+    "ServeRequest": "repro.serving.scheduler",
+    "ServeResult": "repro.serving.scheduler",
+    "ServingConfig": "repro.serving.scheduler",
+    "ShardRuntime": "repro.serving.runtime",
+    "SubprocessRuntime": "repro.serving.runtime",
+    "ThreadRuntime": "repro.serving.runtime",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

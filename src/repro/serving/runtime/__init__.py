@@ -5,15 +5,18 @@
 :mod:`repro.serving.runtime.base` for the contract and the selection
 guidance, :mod:`repro.serving.runtime.protocol` for the wire format the
 subprocess runtime speaks.
+
+The runtime classes resolve lazily (module ``__getattr__``): a subprocess
+worker imports this package on its way to
+:mod:`repro.serving.runtime.worker` and needs none of them.
 """
 
 from __future__ import annotations
 
+import importlib
+
 from repro.errors import ServingError
 from repro.serving.runtime.base import ShardRuntime
-from repro.serving.runtime.inline import InlineRuntime
-from repro.serving.runtime.subprocess import SubprocessRuntime, WorkerHandle
-from repro.serving.runtime.thread import ThreadRuntime
 
 __all__ = [
     "RUNTIMES",
@@ -25,12 +28,32 @@ __all__ = [
     "resolve_runtime",
 ]
 
-#: Selection keys for ``CrossbarPool(runtime=...)`` / ``--runtime``.
-RUNTIMES = {
-    "inline": InlineRuntime,
-    "thread": ThreadRuntime,
-    "subprocess": SubprocessRuntime,
+#: Lazily re-exported name -> the module that defines it.
+_EXPORTS = {
+    "InlineRuntime": "repro.serving.runtime.inline",
+    "SubprocessRuntime": "repro.serving.runtime.subprocess",
+    "ThreadRuntime": "repro.serving.runtime.thread",
+    "WorkerHandle": "repro.serving.runtime.subprocess",
 }
+
+#: Selection keys for ``CrossbarPool(runtime=...)`` / ``--runtime``; the
+#: ``RUNTIMES`` attribute maps them to the runtime classes.
+_RUNTIME_CLASSES = {
+    "inline": "InlineRuntime",
+    "thread": "ThreadRuntime",
+    "subprocess": "SubprocessRuntime",
+}
+
+
+def __getattr__(name: str):
+    if name == "RUNTIMES":
+        value = {key: __getattr__(cls) for key, cls in _RUNTIME_CLASSES.items()}
+    elif name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def resolve_runtime(runtime) -> ShardRuntime:
@@ -38,13 +61,13 @@ def resolve_runtime(runtime) -> ShardRuntime:
     if isinstance(runtime, ShardRuntime):
         return runtime
     if isinstance(runtime, str):
-        cls = RUNTIMES.get(runtime)
-        if cls is None:
+        cls_name = _RUNTIME_CLASSES.get(runtime)
+        if cls_name is None:
             raise ServingError(
                 f"unknown runtime {runtime!r}; choose from "
-                f"{sorted(RUNTIMES)} or pass a ShardRuntime instance"
+                f"{sorted(_RUNTIME_CLASSES)} or pass a ShardRuntime instance"
             )
-        return cls()
+        return __getattr__(cls_name)()
     raise ServingError(
         f"runtime must be a name or ShardRuntime, got {type(runtime).__name__}"
     )

@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.approximation import EXACT, ApproxSpec
+from repro.core.approximation import (
+    ApproxSpec,
+    approximate_final_add,
+    mask_multiplier,
+)
 from repro.core.config import APIMConfig
+from repro.core.cost import Cost
 from repro.core.multiplier import APIMMultiplier, popcount
 from repro.core.timing import cost_multiply
+from repro.core.wallace import reduce_partial_products_vectorised
 from repro.errors import ConfigurationError
+from repro.runtime.campaign import run_point
+from repro.runtime.comparison import ComparisonHarness
+from repro.workloads import workload_by_name
+
+RUN_POINT_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "data", "run_point_golden.json"
+)
 
 
 @pytest.fixture
@@ -167,3 +187,110 @@ class TestOperandValidation:
     def test_rejects_word_bits_above_32(self):
         with pytest.raises(ConfigurationError):
             APIMMultiplier(APIMConfig(word_bits=40))
+
+
+_element_cost = functools.lru_cache(maxsize=None)(cost_multiply)
+
+
+def full_tree_oracle(word_bits, a, b, spec):
+    """The slow reference: all N rows through the full carry-save tree,
+    the bit-level final stage, the popcount <= 1 override and the
+    per-element cost summed with :class:`Cost` arithmetic."""
+    av = np.asarray(a, dtype=np.uint64)
+    b_eff = mask_multiplier(np.asarray(b, dtype=np.uint64), spec.masked_bits,
+                            word_bits)
+    x, y = reduce_partial_products_vectorised(av, b_eff, word_bits)
+    products = approximate_final_add(x, y, 2 * word_bits, spec.relax_bits)
+    if spec.relax_bits:
+        trivial = popcount(b_eff) <= 1
+        if np.any(trivial):
+            products = np.where(trivial, av * b_eff, products)
+    cost = Cost()
+    for set_bits in np.asarray(popcount(b_eff)).ravel().tolist():
+        cost += _element_cost(word_bits, set_bits, spec.relax_bits)
+    return products, cost
+
+
+@st.composite
+def multiply_cases(draw):
+    n = draw(st.integers(1, 32))
+    top = (1 << n) - 1
+    operand = st.one_of(
+        st.integers(0, top),
+        st.sampled_from([0, 1, top]),
+        st.integers(0, n - 1).map(lambda i: 1 << i),
+    )
+    shape = draw(st.sampled_from([(), (5,), (2, 3)]))
+    size = int(np.prod(shape))
+    a = np.array(draw(st.lists(operand, min_size=size, max_size=size)),
+                 dtype=np.uint64).reshape(shape)
+    b = np.array(draw(st.lists(operand, min_size=size, max_size=size)),
+                 dtype=np.uint64).reshape(shape)
+    spec = ApproxSpec(
+        masked_bits=draw(st.integers(0, n)),
+        relax_bits=draw(st.integers(0, 2 * n)),
+    )
+    return n, a, b, spec
+
+
+class TestFullTreeOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(multiply_cases())
+    def test_multiply_matches_full_tree(self, case):
+        n, a, b, spec = case
+        got = APIMMultiplier(APIMConfig(word_bits=n)).multiply(a, b, spec)
+        products, cost = full_tree_oracle(n, a, b, spec)
+        assert got.products.dtype == np.uint64
+        assert np.shape(got.products) == np.shape(products)
+        assert np.array_equal(got.products, products)
+        # Every cost field is integral, so per-element addition is exact.
+        assert got.cost == cost
+
+    @pytest.mark.parametrize("word_bits", [3, 8, 13, 16, 23, 32])
+    def test_every_relax_level_matches_full_tree(self, word_bits, rng):
+        top = (1 << word_bits) - 1
+        a = rng.integers(0, top, 256, dtype=np.uint64, endpoint=True)
+        b = rng.integers(0, top, 256, dtype=np.uint64, endpoint=True)
+        a[:4] = [0, top, top, top]
+        b[:4] = [top, top, 1 << (word_bits - 1), 0]
+        mult = APIMMultiplier(APIMConfig(word_bits=word_bits))
+        for relax in range(2 * word_bits + 1):
+            for masked in (0, 2):
+                spec = ApproxSpec(masked_bits=masked, relax_bits=relax)
+                got = mult.multiply(a, b, spec)
+                products, cost = full_tree_oracle(word_bits, a, b, spec)
+                assert np.array_equal(got.products, products), spec
+                assert got.cost == cost, spec
+
+    def test_broadcast_operands(self, mult32, rng):
+        a = rng.integers(0, 1 << 32, (4, 1), dtype=np.uint64)
+        b = rng.integers(0, 1 << 32, 6, dtype=np.uint64)
+        for relax in (0, 5, 33, 64):
+            spec = ApproxSpec.last_stage(relax)
+            got = mult32.multiply(a, b, spec)
+            products, _ = full_tree_oracle(32, a, b, spec)
+            assert got.products.shape == (4, 6)
+            assert np.array_equal(got.products, products)
+
+
+class TestRunPointGolden:
+    """Grid points recorded from the full-tree multiplier, priced again."""
+
+    with open(RUN_POINT_GOLDEN) as _handle:
+        GOLDEN = json.load(_handle)
+
+    @pytest.mark.parametrize(
+        "workload", ["NeuralNet", "QuantizedLayer", "Sobel", "FFT"]
+    )
+    def test_run_point_bit_identical(self, workload):
+        meta = self.GOLDEN["meta"]
+        harness = ComparisonHarness(
+            tile_elements=meta["tile_elements"], rng_seed=meta["seed"]
+        )
+        for level in (0, 8, 16):
+            point = run_point(
+                workload_by_name(workload), level,
+                float(meta["dataset_bytes"]), harness,
+            )
+            want = self.GOLDEN["points"][f"{workload}/{level}"]
+            assert dataclasses.asdict(point) == want

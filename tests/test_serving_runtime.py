@@ -25,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -63,6 +65,35 @@ class TestRuntimeSelection:
         pool = CrossbarPool(shards=1, tile_elements=TILE, runtime="inline")
         assert pool.healthz()["runtime"] == "inline"
         assert pool.stats()["runtime"]["name"] == "inline"
+
+    def test_lazy_reexports_resolve(self):
+        import repro.serving as serving
+        import repro.serving.runtime as runtime_pkg
+
+        assert serving.CrossbarPool is CrossbarPool
+        assert serving.SubprocessRuntime is SubprocessRuntime
+        assert runtime_pkg.RUNTIMES["thread"] is ThreadRuntime
+        for name in serving.__all__:
+            assert getattr(serving, name) is not None
+        with pytest.raises(AttributeError):
+            serving.NoSuchThing  # noqa: B018
+
+    def test_worker_import_skips_http_and_pool(self):
+        # A worker process only needs the pricing stack and the frame
+        # protocol; the package re-exports must not pull in the rest.
+        probe = (
+            "import sys, repro.serving.runtime.worker; "
+            "print(sorted(m for m in ('http.server', 'http.client', "
+            "'repro.serving.pool', 'repro.serving.http') if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["repro"].__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_runtime_cannot_serve_two_pools(self):
         runtime = ThreadRuntime()

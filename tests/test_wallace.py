@@ -11,6 +11,7 @@ from repro.core.wallace import (
     csa_step,
     partial_products,
     reduce_partial_products,
+    reduce_partial_products_low,
     reduce_partial_products_vectorised,
     reduce_to_two,
 )
@@ -147,3 +148,48 @@ class TestReducePartialProducts:
                 np.uint64(a), np.uint64(b), 8
             )
             assert xs + ys == int(xv) + int(yv) == a * b
+
+
+class TestReducePartialProductsLow:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 32).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6),
+                st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6),
+                st.integers(1, 64),
+            )
+        )
+    )
+    def test_low_bits_match_full_tree(self, case):
+        n, a_values, b_values, bits = case
+        size = min(len(a_values), len(b_values))
+        a = np.array(a_values[:size], dtype=np.uint64)
+        b = np.array(b_values[:size], dtype=np.uint64)
+        x, y = reduce_partial_products_low(a, b, n, bits)
+        xf, yf = reduce_partial_products_vectorised(a, b, n)
+        mask = np.uint64((1 << bits) - 1)
+        assert x.dtype.itemsize * 8 >= bits
+        assert x.dtype.itemsize * 8 < 2 * bits or x.dtype == np.uint8
+        assert np.array_equal(x.astype(np.uint64) & mask, xf & mask)
+        assert np.array_equal(y.astype(np.uint64) & mask, yf & mask)
+
+    def test_scalar_operands(self):
+        x, y = reduce_partial_products_low(np.uint64(0xAB), np.uint64(0xCD), 8, 5)
+        xf, yf = reduce_partial_products_vectorised(
+            np.uint64(0xAB), np.uint64(0xCD), 8
+        )
+        assert np.shape(x) == np.shape(y) == ()
+        assert int(x) & 31 == int(xf) & 31
+        assert int(y) & 31 == int(yf) & 31
+
+    def test_single_row_word(self):
+        ones = np.ones(3, np.uint64)
+        x, y = reduce_partial_products_low(ones, ones, 1, 4)
+        assert x.tolist() == [1, 1, 1] and y.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("word_bits, bits", [(0, 4), (33, 4), (8, 0), (8, 65)])
+    def test_rejects_bad_widths(self, word_bits, bits):
+        with pytest.raises(ConfigurationError):
+            reduce_partial_products_low(np.uint64(1), np.uint64(1), word_bits, bits)

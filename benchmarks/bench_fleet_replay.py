@@ -53,9 +53,7 @@ SPOT_CHECKS_PER_KEY = 3
 
 def _arm(rate_rps: float, duration_s: float) -> dict:
     """One replay arm: trace -> live pool + autoscaler -> report."""
-    config = ServingConfig(
-        max_wait_s=0.0, queue_capacity=512, max_batch_size=8
-    )
+    config = ServingConfig(queue_capacity=512)
     pool = CrossbarPool(
         shards=1,
         tile_elements=TILE,

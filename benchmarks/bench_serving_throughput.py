@@ -1,6 +1,6 @@
 """Serving-layer load generation: throughput, latency, rejection rate.
 
-Not a paper artifact — the serving tier's first baseline.  Three arms:
+Not a paper artifact — the serving tier's first baseline.  Two arms:
 
 - **closed-loop shard scaling, per runtime** (``--runtime
   {thread,subprocess,all}``): C client threads, each submit-and-wait in
@@ -19,8 +19,6 @@ Not a paper artifact — the serving tier's first baseline.  Three arms:
   capacity against a tiny queue; asserts backpressure engages (some
   rejections) and every *admitted* request still reaches a terminal
   result.
-- **batch coalescing**: distribution of dispatched batch sizes under
-  concurrent same-key submission (the tile-cache-friendly path).
 
 The measured numbers land in ``BENCH_serving.json`` for CI to archive.
 """
@@ -185,35 +183,6 @@ def _open_loop() -> dict:
     }
 
 
-def _batching() -> dict:
-    """Concurrent same-key submissions must coalesce into real batches."""
-    pool = CrossbarPool(
-        shards=1,
-        tile_elements=TILE,
-        seed=SEED,
-        serving_config=ServingConfig(
-            max_batch_size=8, max_wait_s=0.005, queue_capacity=256
-        ),
-    )
-    with pool:
-        warm = Client(pool, tenant="warm")
-        warm.call("GEMM", relax_bits=8, timeout=120.0)
-        ids = [
-            pool.submit(workload="GEMM", relax_bits=8, tenant="burst",
-                        block=True)
-            for _ in range(24)
-        ]
-        results = [pool.result(i, timeout=120.0) for i in ids]
-    sizes = [result.batch_size for result in results]
-    assert max(sizes) >= 2, "no coalescing happened at all"
-    assert max(sizes) <= 8
-    return {
-        "requests": len(sizes),
-        "max_batch_size_seen": max(sizes),
-        "mean_batch_size": sum(sizes) / len(sizes),
-    }
-
-
 def test_serving_throughput_baseline(bench_rounds, bench_runtimes):
     """The serving tier's load test; writes ``BENCH_serving.json``."""
     cpus = os.cpu_count() or 1
@@ -272,7 +241,6 @@ def test_serving_throughput_baseline(bench_rounds, bench_runtimes):
                 "between 1 and 4 shards — work not conserved"
             )
     open_loop = _open_loop()
-    batching = _batching()
     payload = {
         "mix": [list(entry) for entry in MIX],
         "tile_elements": TILE,
@@ -289,16 +257,11 @@ def test_serving_throughput_baseline(bench_rounds, bench_runtimes):
             for runtime, arms in closed_loop.items()
         },
         "open_loop": open_loop,
-        "batching": batching,
     }
     with open(ARTIFACT, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
     print(
         f"open-loop: {open_loop['rejected']}/100 rejected "
         f"({open_loop['rejection_rate'] * 100:.0f}%), all admitted terminal"
-    )
-    print(
-        f"batching: max batch {batching['max_batch_size_seen']}, "
-        f"mean {batching['mean_batch_size']:.2f}"
     )
     assert open_loop["rejected"] > 0, "backpressure never engaged"

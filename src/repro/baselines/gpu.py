@@ -38,15 +38,15 @@ All constants carry their derivation in :class:`GPUConfig`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.baselines.cache import TLB, hierarchy_fractions
 from repro.baselines.dram import DRAMModel
 from repro.errors import ConfigurationError
+from repro.memo import SingleFlightMemo
 from repro.units import PJ, US
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "WorkloadProfile",
     "GPUEstimate",
     "LOCALITY_MEMO",
-    "LocalityMemo",
     "TRACE_CHUNK",
     "TraceChunk",
     "affine_trace",
@@ -149,45 +148,9 @@ def affine_trace(
     )
 
 
-class LocalityMemo:
-    """A thread-safe, single-flight memo: the first caller of a missing
-    key computes it while later callers of that key wait for the value.
-    A failed computation stores nothing and lets one waiter retry."""
-
-    def __init__(self) -> None:
-        self._values: dict[Hashable, tuple[float, float, float]] = {}
-        self._pending: dict[Hashable, threading.Event] = {}
-        self._lock = threading.Lock()
-
-    def get(
-        self,
-        key: Hashable,
-        compute: Callable[[], tuple[float, float, float]],
-    ) -> tuple[float, float, float]:
-        """The value of ``key``, computing it with ``compute`` if absent."""
-        while True:
-            with self._lock:
-                if key in self._values:
-                    return self._values[key]
-                pending = self._pending.get(key)
-                if pending is None:
-                    pending = self._pending[key] = threading.Event()
-                    break
-            pending.wait()
-        try:
-            value = compute()
-            with self._lock:
-                self._values[key] = value
-            return value
-        finally:
-            with self._lock:
-                del self._pending[key]
-            pending.set()
-
-
 #: Locality fractions by (profile name, tile elements, line bytes, L1
 #: and L2 (size, ways)), shared by every GPU and CPU model in the process.
-LOCALITY_MEMO = LocalityMemo()
+LOCALITY_MEMO = SingleFlightMemo()
 
 
 def trace_locality(

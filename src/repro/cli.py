@@ -18,16 +18,16 @@ Commands:
 - ``serve`` — boot the sharded serving frontend: a :class:`CrossbarPool`
   behind the JSON-over-HTTP API (``/submit``, ``/result/<id>``,
   ``/trace/<id>``, ``/healthz``, ``/stats``, ``/fleet``, ``/metrics``).
-  With ``--fleet-config FILE`` the pool geometry, shard count, batch
-  ceiling and autoscaler policy come from a DSE-selected fleet config;
+  With ``--fleet-config FILE`` the pool geometry, shard count and
+  autoscaler policy come from a DSE-selected fleet config;
   with ``--telemetry`` the streaming telemetry pipeline samples the
   registry and tail quantiles behind ``GET /query`` / ``GET /alerts``.
 - ``top`` — the fleet dashboard: shards, per-tenant request rates, tail
   quantiles and firing alerts, either polling a live server (``--url``)
   or from a self-contained in-process demo (``--once`` for one frame).
 - ``fleet`` — the fleet control plane: run the offline design-space
-  exploration (sweep block geometry x interconnect x shard count x batch
-  ceiling, fold into a cost-latency Pareto frontier, write the
+  exploration (sweep block geometry x interconnect x shard count, fold
+  into a cost-latency Pareto frontier, write the
   per-tenant ``--fleet-config`` selection), or ``--quick`` — force one
   scale-up and one scale-down under a manual clock and assert ``/fleet``
   reflects both.
@@ -219,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks an ephemeral port)",
     )
     p.add_argument("--tile", type=int, default=1 << 10)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument(
-        "--max-wait", type=float, default=0.002,
-        help="seconds a batch head waits for same-workload stragglers",
-    )
     p.add_argument("--queue-capacity", type=int, default=64)
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument(
@@ -251,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fleet-config", default=None, metavar="FILE",
         help="boot from a DSE-selected fleet config (repro fleet): pool "
-        "geometry, shard count, batch ceiling and autoscaler policy",
+        "geometry, shard count and autoscaler policy",
     )
     p.add_argument(
         "--telemetry", action="store_true",
@@ -313,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-counts", type=int, nargs="+", default=[1, 2, 4],
         help="provisioned shard counts to sweep",
-    )
-    p.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=[1, 8],
-        help="batch ceilings to sweep",
     )
     p.add_argument("--workloads", nargs="+", default=["Sobel"])
     p.add_argument(
@@ -769,7 +760,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         os.makedirs(args.journal, exist_ok=True)
         journal_path = os.path.join(args.journal, "requests.jsonl")
     shards = args.shards
-    batch_size = args.batch_size
     apim_config = None
     fleet_document = None
     if args.fleet_config is not None:
@@ -779,7 +769,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fleet_document = load_fleet_config(args.fleet_config)
         point = fleet_document["pool"]
         shards = point["shard_count"]
-        batch_size = point["max_batch_size"]
         base = default_config()
         apim_config = base.with_overrides(
             block_rows=point["block_rows"],
@@ -787,11 +776,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 base.e_interconnect * point["interconnect_scale"]
             ),
         )
-    config = ServingConfig(
-        max_batch_size=batch_size,
-        max_wait_s=args.max_wait,
-        queue_capacity=args.queue_capacity,
-    )
+    config = ServingConfig(queue_capacity=args.queue_capacity)
     pool = CrossbarPool(
         shards=shards,
         serving_config=config,
@@ -846,8 +831,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"fleet config: {args.fleet_config} -> block_rows="
             f"{point['block_rows']} interconnect x"
-            f"{point['interconnect_scale']:g} shards={shards} "
-            f"batch<={batch_size}, autoscaler attached",
+            f"{point['interconnect_scale']:g} shards={shards}, "
+            "autoscaler attached",
             flush=True,
         )
 
@@ -1122,7 +1107,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         block_rows=tuple(args.block_rows),
         interconnect_scales=tuple(args.interconnect_scales),
         shard_counts=tuple(args.shard_counts),
-        batch_sizes=tuple(args.batch_sizes),
         workloads=tuple(args.workloads),
         tenants=tenants,
         offered_rps=args.offered_rps,

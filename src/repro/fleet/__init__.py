@@ -11,7 +11,7 @@ sweep-and-select, CONTRA's Pareto-under-budget, applied at serving scale:
   :meth:`~repro.serving.pool.CrossbarPool.remove_shard` live-resize
   primitives (loss-free: a removed shard drains before it leaves);
 - :mod:`repro.fleet.dse` — offline design-space exploration over
-  ``(block_size, interconnect, shard_count, max_batch_size)``, folded
+  ``(block_size, interconnect, shard_count)``, folded
   into a cost–latency Pareto frontier and a per-tenant config selection
   that ``repro serve --fleet-config`` loads;
 - :mod:`repro.fleet.replay` — a seeded open-loop arrival trace

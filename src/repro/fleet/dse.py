@@ -1,7 +1,7 @@
 """Offline design-space exploration: sweep, Pareto, per-tenant select.
 
 The fleet's sizing question — how many shards, what block geometry, what
-interconnect, what batch ceiling — is answered *offline*, the
+interconnect — is answered *offline*, the
 rad_gen/COFFE move at serving scale.  :func:`run_dse` sweeps the design
 grid, pricing each point through the existing campaign/pool machinery (a
 real :class:`~repro.serving.pool.CrossbarPool` on the inline runtime, so
@@ -11,12 +11,8 @@ offered load:
 
 - ``service_s`` / ``energy_j`` — mean simulated APIM latency and energy
   of a served request at this block geometry and interconnect;
-- batching amortisation — a coalesced batch of B prices one cold tile
-  plus B-1 warm-cache hits, so effective per-request service shrinks
-  toward ``_WARM_FRACTION`` of a cold execution as B grows;
 - queueing — an M/M/c-flavoured penalty in the utilisation at the
-  offered load (capped below saturation), plus the coalescing wait a
-  request spends assembling its batch;
+  offered load (capped below saturation);
 - cost — serving energy per second at the offered load plus a static
   floor per provisioned shard (idle shards are not free).
 
@@ -48,8 +44,6 @@ __all__ = [
     "write_fleet_config",
 ]
 
-#: Warm-tile cost as a fraction of a cold execution (batch amortisation).
-_WARM_FRACTION = 0.25
 #: Static power of one provisioned shard, as a fraction of its full-rate
 #: serving power — the term that makes over-provisioning cost something.
 _IDLE_FRACTION = 0.05
@@ -68,13 +62,12 @@ class DesignPoint:
     block_rows: int
     interconnect_scale: float
     shard_count: int
-    max_batch_size: int
 
     @property
     def key(self) -> str:
         return (
             f"b{self.block_rows}-i{self.interconnect_scale:g}"
-            f"-s{self.shard_count}-q{self.max_batch_size}"
+            f"-s{self.shard_count}"
         )
 
 
@@ -113,8 +106,6 @@ def _measure_point(
     pool = CrossbarPool(
         shards=point.shard_count,
         serving_config=ServingConfig(
-            max_batch_size=point.max_batch_size,
-            max_wait_s=0.0,
             queue_capacity=max(64, requests_per_point * 2),
         ),
         apim_config=config,
@@ -153,20 +144,11 @@ def _serving_model(
     offered_rps: float,
 ) -> dict:
     """Fold one point's simulated pricing into (cost, latency) at load."""
-    batch = point.max_batch_size
-    # A batch of B prices one cold execution plus B-1 warm-cache hits.
-    effective_service_s = service_s * (
-        1.0 + (batch - 1) * _WARM_FRACTION
-    ) / batch
-    effective_energy_j = energy_j * (
-        1.0 + (batch - 1) * _WARM_FRACTION
-    ) / batch
-    capacity_rps = point.shard_count / max(effective_service_s, 1e-12)
+    capacity_rps = point.shard_count / max(service_s, 1e-12)
     utilisation = min(offered_rps / capacity_rps, _MAX_UTILISATION)
-    queueing_s = effective_service_s * utilisation / (1.0 - utilisation)
-    coalesce_s = (batch - 1) / (2.0 * offered_rps) if batch > 1 else 0.0
-    latency_s = effective_service_s + queueing_s + coalesce_s
-    serving_w = offered_rps * effective_energy_j
+    queueing_s = service_s * utilisation / (1.0 - utilisation)
+    latency_s = service_s + queueing_s
+    serving_w = offered_rps * energy_j
     static_w = (
         point.shard_count * (energy_j / max(service_s, 1e-12))
         * _IDLE_FRACTION
@@ -183,7 +165,6 @@ def run_dse(
     block_rows: tuple[int, ...] = (256, 1024),
     interconnect_scales: tuple[float, ...] = (1.0, 4.0),
     shard_counts: tuple[int, ...] = (1, 2, 4),
-    batch_sizes: tuple[int, ...] = (1, 8),
     workloads: tuple[str, ...] = ("Sobel",),
     tenants: dict[str, dict] | None = None,
     offered_rps: float = 200.0,
@@ -203,16 +184,15 @@ def run_dse(
     result = DSEResult(offered_rps=offered_rps, seed=seed)
     # Simulated per-request pricing depends only on the hardware half of
     # the design point; price each (block_rows, interconnect) corner once
-    # and reuse it across the shard/batch half of the grid.
+    # and reuse it across the shard-count half of the grid.
     measured: dict[tuple[int, float], tuple[float, float, int]] = {}
-    for rows, scale, shards, batch in product(
-        block_rows, interconnect_scales, shard_counts, batch_sizes
+    for rows, scale, shards in product(
+        block_rows, interconnect_scales, shard_counts
     ):
         point = DesignPoint(
             block_rows=rows,
             interconnect_scale=scale,
             shard_count=shards,
-            max_batch_size=batch,
         )
         hardware = (rows, scale)
         if hardware not in measured:
@@ -330,9 +310,7 @@ def load_fleet_config(path: str) -> dict:
             f"{document.get('version')!r}, expected {CONFIG_VERSION}"
         )
     pool = document.get("pool")
-    required = (
-        "block_rows", "interconnect_scale", "shard_count", "max_batch_size"
-    )
+    required = ("block_rows", "interconnect_scale", "shard_count")
     if not isinstance(pool, dict) or any(k not in pool for k in required):
         raise FleetError(
             f"fleet config {path!r} 'pool' must carry {required}"
@@ -341,16 +319,17 @@ def load_fleet_config(path: str) -> dict:
         pool["block_rows"] = int(pool["block_rows"])
         pool["interconnect_scale"] = float(pool["interconnect_scale"])
         pool["shard_count"] = int(pool["shard_count"])
-        pool["max_batch_size"] = int(pool["max_batch_size"])
     except (TypeError, ValueError) as exc:
         raise FleetError(
             f"fleet config {path!r} 'pool' fields must be numeric: {exc}"
         ) from exc
-    if pool["shard_count"] < 1 or pool["max_batch_size"] < 1:
+    if pool["shard_count"] < 1:
         raise FleetError(
-            f"fleet config {path!r}: shard_count and max_batch_size "
-            "must be at least 1"
+            f"fleet config {path!r}: shard_count must be at least 1"
         )
+    # Files written while the pool still coalesced requests carry a
+    # batch ceiling; it no longer means anything.
+    pool.pop("max_batch_size", None)
     tenants = document.get("tenants", {})
     if not isinstance(tenants, dict):
         raise FleetError(f"fleet config {path!r} 'tenants' must be an object")

@@ -40,7 +40,6 @@ __all__ = [
     "record_fleet_scale_event",
     "record_fleet_shed",
     "set_fleet_shards",
-    "record_batch",
     "record_idempotency",
     "record_journal_append",
     "record_journal_recovery",
@@ -207,12 +206,6 @@ class _Instruments:
             "Wall-clock wait between admission and dispatch.",
             (),
             DEFAULT_LATENCY_BUCKETS,
-        )
-        self.serving_batch_size = registry.histogram(
-            "repro_serving_batch_size",
-            "Coalesced batch sizes dispatched to shards.",
-            (),
-            (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
         )
         self.serving_requests = registry.counter(
             "repro_serving_requests_total",
@@ -551,13 +544,6 @@ def record_queue_wait(seconds: float) -> None:
     inst = _instruments()
     if inst is not None:
         inst.serving_queue_wait.observe(seconds)
-
-
-def record_batch(size: int) -> None:
-    """Observe one dispatched batch's size."""
-    inst = _instruments()
-    if inst is not None:
-        inst.serving_batch_size.observe(size)
 
 
 def record_served(

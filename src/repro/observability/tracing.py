@@ -3,10 +3,10 @@
 A request admitted through :meth:`repro.serving.pool.CrossbarPool.submit`
 (or the HTTP frontend) gets a :class:`TraceContext` — a trace id, a span
 id, and a baggage dict — and every layer it crosses appends structured
-:class:`TraceEvent` records: queue enter/exit, batch coalescing links,
-supervision attempts and retries, degradation rungs, executor runs,
-controller command batches.  The result answers the question aggregate
-metrics cannot: "why was *this* request slow / degraded / rerouted?"
+:class:`TraceEvent` records: queue enter/exit, supervision attempts and
+retries, degradation rungs, executor runs, controller command batches.
+The result answers the question aggregate metrics cannot: "why was
+*this* request slow / degraded / rerouted?"
 
 Propagation is explicit at layer boundaries — the context rides on the
 :class:`~repro.serving.scheduler.ServeRequest` and is handed to
@@ -61,7 +61,7 @@ class TraceEvent:
 
     ts: float     #: store-clock timestamp (seconds)
     layer: str    #: frontend / scheduler / pool / supervisor / executor / ...
-    kind: str     #: queue_enter, batch_join, attempt, retry, degrade, ...
+    kind: str     #: queue_enter, queue_exit, attempt, retry, degrade, ...
     span_id: str  #: the span the event belongs to
     detail: str = ""
     attrs: dict = field(default_factory=dict)
@@ -136,6 +136,8 @@ class TraceStore:
         self._seq = itertools.count()
         self._records: "OrderedDict[str, TraceRecord]" = OrderedDict()
         self._aliases: dict[str, str] = {}  # request id -> trace id
+        # trace id -> its aliases, so eviction drops them in O(aliases).
+        self._aliases_of: dict[str, set[str]] = {}
         self._lock = threading.Lock()
         # Spill I/O gets its own lock so readers of the in-memory store
         # are never blocked behind an fsync; acquisition order is always
@@ -162,11 +164,8 @@ class TraceStore:
             while len(self._records) > self.capacity:
                 evicted_id, evicted = self._records.popitem(last=False)
                 self.evicted += 1
-                self._aliases = {
-                    alias: tid
-                    for alias, tid in self._aliases.items()
-                    if tid != evicted_id
-                }
+                for alias in self._aliases_of.pop(evicted_id, ()):
+                    del self._aliases[alias]
                 self._spill(evicted)
         return TraceContext(
             trace_id=trace_id,
@@ -256,9 +255,17 @@ class TraceStore:
             )
 
     def bind(self, alias: str, trace_id: str) -> None:
-        """Also make the trace findable by ``alias`` (the request id)."""
+        """Also make the trace findable by ``alias`` (the request id).
+
+        Rebinding an alias moves it; binding to a trace that is not
+        resident (evicted or unknown) leaves the alias unbound."""
         with self._lock:
-            self._aliases[alias] = trace_id
+            previous = self._aliases.pop(alias, None)
+            if previous is not None:
+                self._aliases_of[previous].discard(alias)
+            if trace_id in self._records:
+                self._aliases[alias] = trace_id
+                self._aliases_of.setdefault(trace_id, set()).add(alias)
 
     # -- reads ----------------------------------------------------------------
 

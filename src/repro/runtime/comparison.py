@@ -6,6 +6,12 @@ pair), so the harness measures APIM on a tile and extrapolates the cost
 counters linearly — with a pass correction for workloads whose sweep count
 depends on the dataset size (FFT's ``log2 n``).  The GPU side comes from
 the analytic model fed by the trace-driven cache simulator.
+
+A tile's result is a pure function of the configuration, the workload,
+the approximation spec, the tile size and the RNG seed, so one
+process-wide single-flight memo (:data:`TILE_MEMO`) prices each tile once
+for every harness: the shards of a pool, built alike, share their tiles,
+and concurrent cold misses on one key run the executor once.
 """
 
 from __future__ import annotations
@@ -19,9 +25,14 @@ from repro.baselines.gpu import GPUEstimate, GPUModel
 from repro.core.approximation import EXACT, ApproxSpec
 from repro.core.config import APIMConfig, default_config
 from repro.errors import ConfigurationError
+from repro.memo import SingleFlightMemo
 from repro.runtime.executor import APIMExecutor, ExecutionResult
 
-__all__ = ["ComparisonHarness", "ComparisonResult"]
+__all__ = ["ComparisonHarness", "ComparisonResult", "TILE_MEMO"]
+
+#: APIM tile results by (config, workload class, spec, tile elements,
+#: RNG seed), shared by every harness in the process.
+TILE_MEMO: SingleFlightMemo[ExecutionResult] = SingleFlightMemo()
 
 
 @dataclass(frozen=True)
@@ -73,32 +84,27 @@ class ComparisonHarness:
         self.executor = APIMExecutor(self.config)
         self.tile_elements = tile_elements
         self.rng_seed = rng_seed
-        self._tile_cache: dict[tuple[str, ApproxSpec], ExecutionResult] = {}
         self._cpu = None  # lazy CPUModel, built on first cpu_fallback
-        # The serving pool gives every shard a private harness, but the
-        # cache and lazy CPU model are still guarded so one harness shared
-        # across threads (a misconfiguration, or deliberate reuse) stays
-        # correct rather than racing dict mutations.
+        # Guards the lazy CPU model, so one harness shared across threads
+        # builds it once.
         self._lock = threading.Lock()
 
     # -- APIM side ----------------------------------------------------------
 
     def _tile_result(self, workload, spec: ApproxSpec) -> ExecutionResult:
-        key = (workload.name, spec)
-        with self._lock:
-            cached = self._tile_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self.executor.run(
-            workload,
-            spec=spec,
-            elements=self.tile_elements,
-            rng=np.random.default_rng(self.rng_seed),
+        key = (
+            self.config, type(workload), spec, self.tile_elements,
+            self.rng_seed,
         )
-        with self._lock:
-            # Two threads may race to compute the same tile; both results
-            # are identical (seeded RNG), so first-write-wins is safe.
-            return self._tile_cache.setdefault(key, result)
+        return TILE_MEMO.get(
+            key,
+            lambda: self.executor.run(
+                workload,
+                spec=spec,
+                elements=self.tile_elements,
+                rng=np.random.default_rng(self.rng_seed),
+            ),
+        )
 
     def apim_estimate(
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT

@@ -1,15 +1,15 @@
-"""The serving layer: sharded execution behind a batching queue.
+"""The serving layer: sharded execution behind a fair request queue.
 
 The paper's pitch is throughput at scale — APIM keeps per-element cost
 flat while the GPU baseline degrades with dataset size — and this package
 is the tier that turns the single-process reproduction into a service:
 
 - :mod:`repro.serving.scheduler` — bounded priority queues with tenant
-  fair-share, deadline-aware admission control, backpressure, and
-  max-batch/max-wait coalescing of same-workload requests;
+  fair-share, per-tenant FIFO, deadline-aware admission control and
+  backpressure; requests are dispatched one at a time;
 - :mod:`repro.serving.pool` — the :class:`CrossbarPool`: N shards, each a
-  private executor/harness wrapped in the PR-2 supervisor, pulling
-  batches so a breaker-tripped shard sheds traffic to healthy ones;
+  private executor/harness wrapped in a supervisor, pulling requests so
+  a breaker-tripped shard sheds traffic to healthy ones;
 - :mod:`repro.serving.runtime` — pluggable execution mechanics per pool:
   inline (synchronous), thread (daemon thread per shard) or subprocess
   (process per shard behind a frame protocol — GIL escape, worker

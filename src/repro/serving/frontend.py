@@ -760,15 +760,13 @@ def fleet_quick_selftest(workload: str = "Sobel") -> int:
     """
     from repro.fleet import Autoscaler, FleetPolicy
     from repro.runtime.supervisor import ManualClock
-    from repro.serving.scheduler import BatchingScheduler, ServingConfig
+    from repro.serving.scheduler import BatchingScheduler
 
     clock = ManualClock()
-    serving_config = ServingConfig(max_wait_s=0.0)
     pool = CrossbarPool(
         shards=1,
         tile_elements=1 << 9,
-        serving_config=serving_config,
-        scheduler=BatchingScheduler(serving_config, clock=clock),
+        scheduler=BatchingScheduler(clock=clock),
         runtime="thread",
     )
     policy = FleetPolicy(

@@ -275,7 +275,7 @@ class JsonHttpServer:
 
         ``on_signal`` — when given — runs *before* the listener shuts
         down: the graceful-drain hook (``repro serve`` stops admission
-        and flushes in-flight batches there).  ``shutdown()`` must run
+        and flushes in-flight requests there).  ``shutdown()`` must run
         off the serving thread, so the signal handler hands both to a
         helper thread; previous handlers are restored on exit.
 

@@ -98,7 +98,7 @@ def result_digest(result: dict) -> str:
 
     Covers the id, status, error and the measured point (plus the top-k
     payload for search requests); excludes timing fields (queue wait,
-    service time, batch size, shard) that legitimately differ between a
+    service time, shard) that legitimately differ between a
     first execution and a deterministic replay.  Equal digests therefore
     certify bit-identical measurements.
     """
@@ -125,9 +125,12 @@ def serve_result_from_dict(payload: dict) -> ServeResult:
 
     Raises :class:`~repro.errors.JournalError` on payloads this version
     cannot interpret (foreign fields, missing requireds) — the caller
-    treats such records as unrecoverable and re-executes instead.
+    treats such records as unrecoverable and re-executes instead.  The
+    ``batch_size`` field of results journaled before one-at-a-time
+    dispatch is dropped, so those results are still redelivered.
     """
     data = dict(payload)
+    data.pop("batch_size", None)
     point = data.get("point")
     try:
         if point is not None:

@@ -1,11 +1,12 @@
 """The sharded crossbar pool: N independent executors serving one queue.
 
 Each shard owns a private :class:`~repro.runtime.comparison.ComparisonHarness`
-(its own :class:`~repro.runtime.executor.APIMExecutor`, tile cache and GPU
-baseline — no mutable state crosses shard boundaries) wrapped in a PR-2
-:class:`~repro.runtime.supervisor.Supervisor`.  Worker threads pull
-coalesced batches from the :class:`~repro.serving.scheduler.BatchingScheduler`
-and run each request through
+(its own :class:`~repro.runtime.executor.APIMExecutor` and GPU baseline)
+wrapped in a :class:`~repro.runtime.supervisor.Supervisor`; the pure
+pricing results — cold APIM tiles and GPU locality — are shared
+process-wide, so a tile priced on one shard is warm on every other.
+Worker threads pull one request at a time from the
+:class:`~repro.serving.scheduler.BatchingScheduler` and run it through
 :func:`~repro.runtime.campaign.run_point`, inheriting the campaign
 runtime's whole rescue ladder: retry with jittered backoff, degrade up the
 relax rungs, fall back to the CPU baseline — every admitted request ends
@@ -19,8 +20,8 @@ back to the *front* of the queue (bounded by ``max_reroutes``, after
 which the request executes anyway and lets the rescue ladder finish it).
 Mid-cooldown the breaker half-opens and the shard probes its way back.
 
-*How* shards execute is pluggable since PR 6: the pool owns serving
-policy (admission, batching, rescue ladder, results, health) and
+*How* shards execute is pluggable: the pool owns serving
+policy (admission, queueing, rescue ladder, results, health) and
 delegates execution mechanics to a
 :class:`~repro.serving.runtime.ShardRuntime` — ``runtime="thread"``
 (daemon thread per shard, the classic behaviour), ``"inline"``
@@ -113,8 +114,8 @@ class PoolShard:
     served: int = 0
     failures: int = 0
     busy_s: float = 0.0
-    #: Requests this shard currently holds (dispatched batch members not
-    #: yet terminal).  Only the shard's own driver mutates it; the fleet
+    #: Requests this shard currently holds (dispatched, not yet
+    #: terminal).  Only the shard's own driver mutates it; the fleet
     #: autoscaler reads it so shrink never selects a working shard.
     in_flight: int = 0
     _workloads: dict = field(default_factory=dict)
@@ -338,9 +339,9 @@ class CrossbarPool:
         """Shrink the pool by one shard, live and loss-free.
 
         The victim (by ``index``, or the highest-index idle shard when
-        unspecified) leaves ``shards`` first — no new batch routes to it
-        — then the runtime drains it: its driver finishes the batch in
-        hand, so every request the shard held reaches a terminal result
+        unspecified) leaves ``shards`` first — no new request routes to
+        it — then the runtime drains it: its driver finishes the request
+        in hand, so every request the shard held reaches a terminal result
         before this returns.  Rejections (last shard, unknown index, no
         idle victim) raise :class:`~repro.errors.ScaleRejectedError`
         before anything is touched; raw escapes from the drain itself are
@@ -537,7 +538,7 @@ class CrossbarPool:
 
         ``drain=True`` (default) closes admission and waits for queued
         requests to finish — nothing accepted is ever dropped.  With
-        ``drain=False`` workers stop after their current batch and
+        ``drain=False`` workers stop after their current request and
         still-queued requests complete with status ``error``.
         """
         with self._lifecycle:
@@ -557,14 +558,8 @@ class CrossbarPool:
             self.runtime.stop(drain=drain, timeout=timeout)
             self._started = False
             if not drain:
-                while True:
-                    batch = self.scheduler.next_batch(timeout=0.0)
-                    if not batch:
-                        break
-                    for request in batch:
-                        self._complete(
-                            self._aborted(request, "pool stopped")
-                        )
+                while batch := self.scheduler.next_batch(timeout=0.0):
+                    self._complete(self._aborted(batch[0], "pool stopped"))
             if self.journal is not None:
                 self.journal.close()
 
@@ -736,7 +731,7 @@ class CrossbarPool:
         the door (a bad query or ``k`` raises
         :class:`~repro.errors.SearchError` — the frontend's 400) and the
         accepted request rides the exact same lifecycle as ``admit``:
-        write-ahead journal, idempotency index, tracing, batching, one
+        write-ahead journal, idempotency index, tracing, queueing, one
         terminal :class:`~repro.serving.scheduler.ServeResult` whose
         ``search`` field carries the top-k.
         """
@@ -1032,33 +1027,27 @@ class CrossbarPool:
     def _expired(self, request: ServeRequest, now: float) -> bool:
         return request.deadline_at is not None and now >= request.deadline_at
 
-    def _run_batch(
-        self, shard: PoolShard, batch: list[ServeRequest], execute=None
+    def _dispatch(
+        self, shard: PoolShard, request: ServeRequest, execute=None
     ) -> None:
-        # in_flight counts every batch member the shard still holds; it
-        # reaches zero only once each is terminal or handed back — the
-        # signal shrink uses to pick a victim that has nothing to lose.
-        shard.in_flight += len(batch)
-        done = 0
+        """Run one dequeued request on ``shard`` — or, when the shard's
+        breaker is open, hand it back to the front of the queue so a
+        healthy shard picks it up (bounded by ``max_reroutes``)."""
+        if not shard.healthy and request.reroutes < self.max_reroutes:
+            request.trace_event(
+                "pool", "reroute", "shard breaker open",
+                shard=shard.index, reroutes=request.reroutes,
+            )
+            self.scheduler.requeue([request])
+            record_reroute(1)
+            return
+        # in_flight is nonzero exactly while the shard holds a request —
+        # the signal shrink uses to pick a victim that has nothing to lose.
+        shard.in_flight += 1
         try:
-            for position, request in enumerate(batch):
-                if not shard.healthy and request.reroutes < self.max_reroutes:
-                    # Breaker tripped mid-batch: hand the rest back so a
-                    # healthy shard picks it up.
-                    rerouted = batch[position:]
-                    for held in rerouted:
-                        held.trace_event(
-                            "pool", "reroute", "shard breaker open",
-                            shard=shard.index, reroutes=held.reroutes,
-                        )
-                    self.scheduler.requeue(rerouted)
-                    record_reroute(len(rerouted))
-                    return
-                self._run_request(shard, request, len(batch), execute=execute)
-                done += 1
-                shard.in_flight -= 1
+            self._run_request(shard, request, execute=execute)
         finally:
-            shard.in_flight -= len(batch) - done
+            shard.in_flight -= 1
 
     def _execute_local(
         self, shard: PoolShard, request: ServeRequest
@@ -1141,7 +1130,6 @@ class CrossbarPool:
         self,
         shard: PoolShard,
         request: ServeRequest,
-        batch_size: int,
         execute=None,
     ) -> None:
         now = time.monotonic()
@@ -1161,7 +1149,6 @@ class CrossbarPool:
                 status="expired",
                 shard=shard.index,
                 queue_wait_s=queue_wait,
-                batch_size=batch_size,
                 error="deadline passed while queued",
                 trace_id=trace_id,
             )
@@ -1170,7 +1157,7 @@ class CrossbarPool:
             self._account(queue_wait, 0.0, queue_wait, trace_id, ok=False)
             return
         request.trace_event(
-            "pool", "dispatch", shard=shard.index, batch_size=batch_size,
+            "pool", "dispatch", shard=shard.index,
             queue_wait_s=round(queue_wait, 6),
         )
         self._journal_dispatched(request, shard.index)
@@ -1219,7 +1206,6 @@ class CrossbarPool:
             attempts=attempts,
             queue_wait_s=queue_wait,
             service_s=service_s,
-            batch_size=batch_size,
             point=point,
             error=error,
             trace_id=trace_id,

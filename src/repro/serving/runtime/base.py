@@ -1,7 +1,7 @@
 """The shard-runtime contract: who drives a pool's shards, and how.
 
 A :class:`~repro.serving.pool.CrossbarPool` owns the *policy* of serving
-(admission, batching, rescue ladder, results, health) while a
+(admission, queueing, rescue ladder, results, health) while a
 :class:`ShardRuntime` owns the *mechanics* of execution — which thread or
 process actually runs each dispatched request.  Three implementations:
 
@@ -85,7 +85,7 @@ class ShardRuntime(ABC):
         """Stop driving a shard removed from a *started* pool.
 
         Called by :meth:`CrossbarPool.remove_shard` after the shard left
-        ``pool.shards`` (so it receives no new batches).  Implementations
+        ``pool.shards`` (so it receives no new requests).  Implementations
         must complete the shard's in-flight work before returning — the
         loss-free half of the live-resize contract — and release any
         per-shard worker registration.  The default is a no-op.

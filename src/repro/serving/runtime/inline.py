@@ -13,12 +13,12 @@ class InlineRuntime(ShardRuntime):
     """Synchronous execution for tests, debugging and campaigns.
 
     :meth:`after_submit` pumps the scheduler until it is empty, running
-    every coalesced batch on the next healthy shard (round-robin) before
+    every request on the next healthy shard (round-robin) before
     :meth:`~repro.serving.pool.CrossbarPool.submit` returns — so by the
     time a caller asks for its result, the result exists.  One lock keeps
     concurrent submitters correct (each pump drains the whole queue, so a
     blocked submitter's request is executed by whichever pump holds the
-    lock).  When every shard's breaker is open the batch still executes
+    lock).  When every shard's breaker is open the request still executes
     on a round-robin shard — the reroute bound already caps how often a
     request may dodge a sick shard, and inline mode has no other thread
     to wait for.
@@ -47,15 +47,13 @@ class InlineRuntime(ShardRuntime):
         return shard
 
     def pump(self) -> int:
-        """Drain the scheduler synchronously; returns batches executed."""
+        """Drain the scheduler synchronously; returns requests executed."""
         executed = 0
         with self._pump_lock:
-            while True:
-                batch = self.pool.scheduler.next_batch(timeout=0.0)
-                if not batch:
-                    return executed
-                self.pool._run_batch(self._pick_shard(), batch)
+            while batch := self.pool.scheduler.next_batch(timeout=0.0):
+                self.pool._dispatch(self._pick_shard(), batch[0])
                 executed += 1
+            return executed
 
     def after_submit(self) -> None:
         self.pump()

@@ -18,40 +18,27 @@ half-dead one.
   or body read, so a corrupted header cannot make the parent buffer
   gigabytes;
 - a body that is not valid JSON, or decodes to a non-object, raises too.
-
-ndarray payloads have two transports: :func:`pack_ndarrays` base64-inlines
-small arrays into the frame itself, and :func:`share_array` /
-:func:`attach_array` move large ones through
-``multiprocessing.shared_memory`` with only the descriptor on the wire.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from typing import Callable
-
-import numpy as np
 
 from repro.errors import ProtocolError
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "attach_array",
     "encode_frame",
-    "pack_ndarrays",
     "read_frame",
-    "share_array",
-    "unpack_ndarrays",
     "write_frame",
 ]
 
 _HEADER = struct.Struct(">I")
 
 #: Default ceiling on one frame's body.  Result frames are a few KiB of
-#: JSON; anything near this bound means framing is lost or an array was
-#: inlined that should have gone through shared memory.
+#: JSON; anything near this bound means framing is lost.
 MAX_FRAME_BYTES = 32 << 20
 
 
@@ -142,83 +129,3 @@ def read_frame(
             f"frame decoded to {type(payload).__name__}, expected object"
         )
     return payload
-
-
-# -- ndarray transports -------------------------------------------------------
-
-
-def pack_ndarrays(arrays: dict) -> dict:
-    """Base64-inline ndarrays for riding inside a frame (small payloads)."""
-    packed = {}
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(array)
-        packed[name] = {
-            "dtype": str(array.dtype),
-            "shape": list(array.shape),
-            "data": base64.b64encode(array.tobytes()).decode("ascii"),
-        }
-    return packed
-
-
-def unpack_ndarrays(packed: dict) -> dict:
-    """Rebuild :func:`pack_ndarrays` output into ndarrays."""
-    arrays = {}
-    for name, spec in packed.items():
-        try:
-            raw = base64.b64decode(spec["data"].encode("ascii"))
-            arrays[name] = np.frombuffer(
-                raw, dtype=np.dtype(spec["dtype"])
-            ).reshape(spec["shape"]).copy()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"malformed ndarray payload {name!r}: {exc}"
-            ) from exc
-    return arrays
-
-
-def share_array(array) -> tuple[dict, object]:
-    """Copy an ndarray into shared memory; returns ``(descriptor, shm)``.
-
-    The descriptor (name/dtype/shape) is JSON-able and rides the frame;
-    the caller owns ``shm`` and must ``close()``/``unlink()`` it once the
-    peer confirms receipt.  The transport of choice for arrays too large
-    to base64-inline.
-    """
-    from multiprocessing import shared_memory
-
-    array = np.ascontiguousarray(array)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-    view[...] = array
-    descriptor = {
-        "shm_name": shm.name,
-        "dtype": str(array.dtype),
-        "shape": list(array.shape),
-    }
-    return descriptor, shm
-
-
-def attach_array(descriptor: dict) -> tuple[object, object]:
-    """Attach to a :func:`share_array` descriptor; ``(array, shm)``.
-
-    The array is a *copy* (the caller may close ``shm`` immediately);
-    malformed descriptors raise :class:`~repro.errors.ProtocolError`.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=descriptor["shm_name"])
-    except (KeyError, TypeError, FileNotFoundError) as exc:
-        raise ProtocolError(f"bad shared-memory descriptor: {exc}") from exc
-    try:
-        array = np.ndarray(
-            tuple(descriptor["shape"]),
-            dtype=np.dtype(descriptor["dtype"]),
-            buffer=shm.buf,
-        ).copy()
-    except (KeyError, TypeError, ValueError) as exc:
-        shm.close()
-        raise ProtocolError(
-            f"bad shared-memory descriptor: {exc}"
-        ) from exc
-    return array, shm

@@ -1,7 +1,7 @@
 """Process-per-shard execution: GIL escape with crash containment.
 
 Each shard gets a worker process (`python -m repro.serving.runtime.worker`)
-plus a parent-side driver thread.  The driver pulls batches exactly like
+plus a parent-side driver thread.  The driver pulls requests exactly like
 the thread runtime, but executes each request by round-tripping a frame
 through the worker's pipes — NumPy bit-plane pricing then runs in a
 process of its own, so four shards use four cores instead of fighting
@@ -306,7 +306,7 @@ class SubprocessRuntime(ShardRuntime):
             # round-tripping its last request through the process.
             raise FleetError(
                 f"{shard.key} driver did not drain within {timeout:.1f}s; "
-                "its in-flight batch completes in the background"
+                "its in-flight request completes in the background"
             )
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
@@ -435,9 +435,8 @@ class SubprocessRuntime(ShardRuntime):
                 continue
             record_shard_health(shard.index, True)
             batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
-            if not batch:
-                continue
-            pool._run_batch(shard, batch, execute=self.execute)
+            if batch:
+                pool._dispatch(shard, batch[0], execute=self.execute)
 
     def execute(self, shard, request):
         """Run one request through the shard's worker process.

@@ -15,8 +15,8 @@ __all__ = ["ThreadRuntime"]
 class ThreadRuntime(ShardRuntime):
     """The pre-runtime :class:`CrossbarPool` behaviour, factored out.
 
-    Each shard gets a daemon thread pulling coalesced batches from the
-    scheduler and running them through the pool's rescue ladder.  Shards
+    Each shard gets a daemon thread pulling one request at a time from
+    the scheduler and running it through the pool's rescue ladder.  Shards
     share the GIL, so NumPy-heavy loads do not scale with shard count —
     that is :class:`~repro.serving.runtime.subprocess.SubprocessRuntime`'s
     job — but threads are free to start and right for small pools.
@@ -24,7 +24,7 @@ class ThreadRuntime(ShardRuntime):
     Threads are tracked per shard so the fleet control plane can resize a
     live pool: :meth:`shard_added` spawns one thread for the newcomer,
     :meth:`shard_removed` signals the victim's thread and joins it — the
-    thread finishes its current batch first, so every request the shard
+    thread finishes its current request first, so every request the shard
     held reaches a terminal result before the resize returns.
     """
 
@@ -64,13 +64,13 @@ class ThreadRuntime(ShardRuntime):
         if thread is not None:
             thread.join(timeout=timeout)
             if thread.is_alive():
-                # The batch in flight outlives the deadline.  The thread
+                # The request in flight outlives the deadline.  The thread
                 # still terminates every request it holds (the rescue
                 # ladder guarantees it) — only the resize's bounded-time
                 # promise is broken, which callers must hear about.
                 raise FleetError(
                     f"{shard.key} did not drain within {timeout:.1f}s; "
-                    "its in-flight batch completes in the background"
+                    "its in-flight request completes in the background"
                 )
         self.pool.scheduler.unregister_worker()
 
@@ -83,9 +83,8 @@ class ThreadRuntime(ShardRuntime):
                 continue
             record_shard_health(shard.index, True)
             batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
-            if not batch:
-                continue
-            pool._run_batch(shard, batch)
+            if batch:
+                pool._dispatch(shard, batch[0])
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         self._stop.set()

@@ -1,14 +1,13 @@
-"""Request queueing: bounded priority queues, batching, admission control.
+"""Request queueing: bounded priority queues and admission control.
 
 The serving layer's brain.  A :class:`BatchingScheduler` owns one bounded
 queue per priority class (0 is most urgent); within a class, requests are
 kept per tenant and dispatched round-robin across tenants (fair share) and
-FIFO within a tenant.  Shard workers pull :meth:`next_batch`, which
-coalesces queued requests that share a *batch key* — identical
-``(workload, relax_bits, dataset_bytes)`` — up to ``max_batch_size``,
-waiting at most ``max_wait_s`` for stragglers: same-key requests priced
-back to back hit the shard harness's warm tile cache, so a batch of B
-costs one tile execution plus B-1 cache hits.
+strictly FIFO within a tenant.  Shard workers pull :meth:`next_batch`, which
+hands out one request per call the moment one is queued.  Nothing is held
+back for same-key company: the one cost a batch could amortise, a cold
+APIM tile, is already priced once per process by the comparison harness's
+shared single-flight tile memo.
 
 Admission control runs at :meth:`submit` time and never over-admits:
 
@@ -38,7 +37,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.errors import AdmissionRejectedError, ConfigurationError, ServingError
 from repro.observability.instruments import (
     record_admission,
-    record_batch,
     record_queue_wait,
     record_result_eviction,
     set_queue_depth,
@@ -68,12 +66,8 @@ RESULT_STATUSES = (
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Knobs of the batching scheduler and admission controller."""
+    """Knobs of the scheduler's queues and admission controller."""
 
-    #: Coalescing ceiling: a dispatched batch never exceeds this.
-    max_batch_size: int = 8
-    #: How long a partially filled batch waits for same-key stragglers.
-    max_wait_s: float = 0.002
     #: Bounded capacity of each priority class (across its tenants).
     queue_capacity: int = 64
     #: Number of priority classes; 0 is served first.
@@ -87,10 +81,6 @@ class ServingConfig:
     service_ema_alpha: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be at least 1")
-        if self.max_wait_s < 0:
-            raise ConfigurationError("max_wait_s must be non-negative")
         if self.queue_capacity < 1:
             raise ConfigurationError("queue_capacity must be at least 1")
         if self.priorities < 1:
@@ -127,11 +117,6 @@ class ServeRequest:
     #: `/search` requests, or None for campaign pricing requests.
     search: dict | None = None
 
-    @property
-    def batch_key(self) -> tuple[str, int, int]:
-        """Requests sharing this key coalesce into one batch."""
-        return (self.workload, self.relax_bits, self.dataset_bytes)
-
     def trace_event(self, layer: str, kind: str, detail: str = "", **attrs):
         """Append to this request's trace, if it carries one."""
         if self.trace is not None:
@@ -152,7 +137,6 @@ class ServeResult:
     attempts: int = 0
     queue_wait_s: float = 0.0
     service_s: float = 0.0
-    batch_size: int = 0
     point: "CampaignPoint | None" = None
     error: str | None = None
     #: Trace id for ``GET /trace/<id>`` (empty when tracing was off).
@@ -221,33 +205,9 @@ class _TenantRing:
                 return queue.popleft()
         return None
 
-    def pop_matching(self, key: tuple, limit: int) -> list[ServeRequest]:
-        """Up to ``limit`` queued requests with ``batch_key == key``, in
-        per-tenant FIFO order (coalescing may overtake *other* keys, never
-        an earlier request of the same key)."""
-        taken: list[ServeRequest] = []
-        if limit <= 0 or self.size == 0:
-            return taken
-        for tenant in self._ring:
-            queue = self.queues.get(tenant)
-            if not queue:
-                continue
-            kept: deque[ServeRequest] = deque()
-            while queue:
-                request = queue.popleft()
-                if len(taken) < limit and request.batch_key == key:
-                    taken.append(request)
-                else:
-                    kept.append(request)
-            self.queues[tenant] = kept
-            if len(taken) >= limit:
-                break
-        self.size -= len(taken)
-        return taken
-
 
 class BatchingScheduler:
-    """Bounded, fair, batch-coalescing request queues (thread-safe)."""
+    """Bounded, fair, per-tenant FIFO request queues (thread-safe)."""
 
     def __init__(
         self,
@@ -416,69 +376,34 @@ class BatchingScheduler:
                 return request
         return None
 
-    def _gather_locked(self, key: tuple, limit: int) -> list[ServeRequest]:
-        taken: list[ServeRequest] = []
-        for ring in self._classes:
-            taken.extend(ring.pop_matching(key, limit - len(taken)))
-            if len(taken) >= limit:
-                break
-        return taken
-
     def next_batch(self, timeout: float = 0.05) -> list[ServeRequest]:
-        """The next coalesced batch, or ``[]`` after ``timeout`` idle.
+        """The next request as a one-element list, or ``[]`` after
+        ``timeout`` idle.
 
-        Waits up to ``timeout`` for any request, then up to
-        ``config.max_wait_s`` more for same-key stragglers while the batch
-        is short of ``max_batch_size``.
+        Dispatch is one request at a time.  The name and the list return
+        stay because the repository benchmark's span wrapper
+        (``perfbench/tracer.py``) wraps this exact call and reads
+        ``result[0].submitted_at``.
         """
         deadline = self.clock() + timeout
         with self._lock:
-            head = self._pop_head_locked()
-            while head is None:
+            request = self._pop_head_locked()
+            while request is None:
                 remaining = deadline - self.clock()
                 if remaining <= 0 or self._closed:
                     return []
                 self._nonempty.wait(remaining)
-                head = self._pop_head_locked()
-            batch = [head]
-            key = head.batch_key
-            limit = self.config.max_batch_size
-            batch.extend(self._gather_locked(key, limit - len(batch)))
-            if self.config.max_wait_s > 0 and len(batch) < limit:
-                wait_until = self.clock() + self.config.max_wait_s
-                while len(batch) < limit and not self._closed:
-                    remaining = wait_until - self.clock()
-                    if remaining <= 0:
-                        break
-                    self._nonempty.wait(remaining)
-                    batch.extend(
-                        self._gather_locked(key, limit - len(batch))
-                    )
-            now = self.clock()
-            head_trace = head.trace.trace_id if head.trace else ""
-            for position, request in enumerate(batch):
-                record_queue_wait(max(0.0, now - request.submitted_at))
-                request.trace_event(
-                    "scheduler", "queue_exit",
-                    wait_s=round(max(0.0, now - request.submitted_at), 6),
-                )
-                # One link per coalesced request: followers point at the
-                # batch head's trace, the head lists the batch size.
-                if position == 0:
-                    request.trace_event(
-                        "scheduler", "batch_lead", size=len(batch),
-                    )
-                else:
-                    request.trace_event(
-                        "scheduler", "batch_join",
-                        head_trace=head_trace, position=position,
-                        size=len(batch),
-                    )
-            record_batch(len(batch))
-            for priority in {request.priority for request in batch}:
-                set_queue_depth(priority, self._classes[priority].size)
+                request = self._pop_head_locked()
+            wait_s = max(0.0, self.clock() - request.submitted_at)
+            record_queue_wait(wait_s)
+            request.trace_event(
+                "scheduler", "queue_exit", wait_s=round(wait_s, 6),
+            )
+            set_queue_depth(
+                request.priority, self._classes[request.priority].size
+            )
             self._space.notify_all()
-            return batch
+            return [request]
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from repro.errors import (
 )
 from repro.fleet import (
     Autoscaler,
+    DesignPoint,
     FleetPolicy,
     generate_trace,
     load_fleet_config,
@@ -46,7 +47,7 @@ from repro.workloads import workload_by_name
 
 def _pool(shards=1, clock=None, **kwargs):
     config = kwargs.pop(
-        "serving_config", ServingConfig(max_wait_s=0.0, queue_capacity=256)
+        "serving_config", ServingConfig(queue_capacity=256)
     )
     scheduler = BatchingScheduler(config)
     if clock is not None:
@@ -76,7 +77,7 @@ class TestLiveResize:
                 for _ in range(8)
             ]
             # Explicit victim: a busy shard may be removed by index — the
-            # drain completes its batch in hand before returning.
+            # drain completes its request in hand before returning.
             removed = pool.remove_shard(index=1, timeout=30.0)
             assert pool.shard_count == 1
             assert removed.index not in [s.index for s in pool.shards]
@@ -279,13 +280,18 @@ class TestAutoscaler:
 
 
 class TestDSE:
+    # Each shard prices ~26 req/s here, so an offered load of 40 req/s
+    # saturates one shard but not two or four: shard count then moves
+    # latency as well as cost, and the frontier spans both axes.
+    OFFERED_RPS = 40.0
+
     @pytest.fixture(scope="class")
     def dse(self):
         return run_dse(
             block_rows=(256, 1024),
             interconnect_scales=(1.0, 4.0),
             shard_counts=(1, 2, 4),
-            batch_sizes=(1, 8),
+            offered_rps=self.OFFERED_RPS,
             tenants={
                 "interactive": {"priority": 0, "latency_slo_s": 0.1},
                 "bulk": {"priority": 2, "latency_slo_s": 10.0},
@@ -296,7 +302,7 @@ class TestDSE:
 
     def test_frontier_has_enough_non_dominated_points(self, dse):
         assert len(dse.frontier) >= 3
-        assert len(dse.evaluations) == 24
+        assert len(dse.evaluations) == 12
 
     def test_frontier_is_strictly_non_dominated(self, dse):
         for a in dse.frontier:
@@ -332,7 +338,7 @@ class TestDSE:
             block_rows=(256, 1024),
             interconnect_scales=(1.0, 4.0),
             shard_counts=(1, 2, 4),
-            batch_sizes=(1, 8),
+            offered_rps=self.OFFERED_RPS,
             tenants={
                 "interactive": {"priority": 0, "latency_slo_s": 0.1},
                 "bulk": {"priority": 2, "latency_slo_s": 10.0},
@@ -393,6 +399,29 @@ class TestDSE:
         path.write_text(document)
         with pytest.raises(FleetError):
             load_fleet_config(str(path))
+
+    def test_config_with_legacy_batch_ceiling_loads(self, tmp_path):
+        """Files written while the pool still coalesced requests carry a
+        ``max_batch_size``; they load, and the key is dropped."""
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "pool": {
+                "block_rows": 256, "interconnect_scale": 1.0,
+                "shard_count": 2, "max_batch_size": 8,
+            },
+            "tenants": {"bulk": {"priority": 2}},
+        }))
+        loaded = load_fleet_config(str(path))
+        assert loaded["pool"] == {
+            "block_rows": 256, "interconnect_scale": 1.0, "shard_count": 2,
+        }
+
+    def test_point_key_names_geometry_and_shards(self):
+        point = DesignPoint(
+            block_rows=256, interconnect_scale=4.0, shard_count=2
+        )
+        assert point.key == "b256-i4-s2"
 
     def test_missing_config_raises_fleet_error(self, tmp_path):
         with pytest.raises(FleetError):

@@ -13,12 +13,12 @@ import numpy as np
 from repro.baselines.gpu import (
     GPUConfig,
     GPUModel,
-    LocalityMemo,
     WorkloadProfile,
     affine_trace,
     row_trace,
 )
 from repro.errors import ConfigurationError
+from repro.memo import SingleFlightMemo
 from repro.units import GIB, MIB
 
 
@@ -120,7 +120,7 @@ class TestLocalityMeasurement:
         assert results == [(0.5, 0.0, 0.5)] * 8
 
     def test_failed_computation_is_not_memoised(self):
-        memo = LocalityMemo()
+        memo = SingleFlightMemo()
         attempts = []
 
         def flaky():

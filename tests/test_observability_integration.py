@@ -199,7 +199,9 @@ class TestCliMetrics:
     def test_quick_scrape_has_required_families(self, capsys):
         from repro.cli import main
 
-        assert main(["metrics", "--quick"]) == 0
+        # A seed no other test uses keeps the tile cold, so the run
+        # reaches the executor and its families appear.
+        assert main(["metrics", "--quick", "--seed", "90004"]) == 0
         out = capsys.readouterr().out
         assert "repro_executor_ops_total" in out
         assert "repro_supervisor_retries_total 0" in out
@@ -227,8 +229,12 @@ class TestTraceWriterConcurrency:
         path = tmp_path / "trace.json"
         writer = ChromeTraceWriter(str(path), flush_every=7)
         per_thread, threads = 50, 4
+        # All emitters alive at once: a finished thread's id may be
+        # reused by one started later, which would merge their tids.
+        barrier = threading.Barrier(threads)
 
         def emit(tag: int):
+            barrier.wait(timeout=10.0)
             for i in range(per_thread):
                 writer.slice(f"t{tag}.{i}", ts_us=float(i), dur_us=1.0)
 

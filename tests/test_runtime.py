@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,48 @@ class TestComparisonHarness:
         first = harness._tile_result(w, EXACT)
         second = harness._tile_result(w, EXACT)
         assert first is second
+
+    def test_harnesses_share_one_cold_tile_run(self, monkeypatch):
+        """Eight harnesses pricing the same cold tile at once run the
+        executor once: the tile memo is process-wide and single-flight."""
+        calls = []
+        original = APIMExecutor.run
+
+        def counted_run(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(APIMExecutor, "run", counted_run)
+        # A seed no other test uses keeps this tile cold.
+        harnesses = [
+            ComparisonHarness(tile_elements=TILE, rng_seed=90_001)
+            for _ in range(8)
+        ]
+        workload = workload_by_name("Robert")
+        barrier = threading.Barrier(len(harnesses))
+        results = []
+
+        def price(harness):
+            barrier.wait(timeout=10.0)
+            results.append(harness._tile_result(workload, EXACT))
+
+        threads = [
+            threading.Thread(target=price, args=(harness,))
+            for harness in harnesses
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert len(results) == 8
+        assert all(result is results[0] for result in results)
 
     def test_sweep_returns_point_per_size(self, harness):
         sizes = [32 * MIB, 64 * MIB]

@@ -181,7 +181,7 @@ class TestFrontend:
     def test_queue_full_429_with_retry_after(self):
         from repro.serving import ServingConfig
 
-        config = ServingConfig(queue_capacity=1, max_wait_s=0.0)
+        config = ServingConfig(queue_capacity=1)
         pool = CrossbarPool(
             shards=1, tile_elements=TILE, serving_config=config
         )

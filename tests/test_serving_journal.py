@@ -53,6 +53,29 @@ WORKLOAD = "Robert"
 DATASET = 1 << 20
 
 
+#: A journal written before one-at-a-time dispatch, verbatim: its
+#: completed result carries the since-removed ``batch_size`` field.
+LEGACY_JOURNAL = (
+    '{"dataset_bytes":1048576,"deadline_s":null,"fingerprint":'
+    '"1d00a90fd9f338bd","id":"default-00000000","idempotency_key":"legacy",'
+    '"priority":1,"relax_bits":8,"tenant":"default","trace_id":'
+    '"d1d115c2-00000000","type":"admitted","v":1,"workload":"Robert"}\n'
+    '{"id":"default-00000000","shard":0,"type":"dispatched","v":1}\n'
+    '{"digest":"8006f00bbd5ed8ac","id":"default-00000000","result":'
+    '{"attempts":1,"batch_size":1,"dataset_bytes":1048576,"error":null,'
+    '"id":"default-00000000","point":{"apim_energy_j":0.00037437032077176495,'
+    '"apim_time_s":0.025476682680378077,"attempts":1,"dataset_bytes":1048576,'
+    '"edp_improvement":0.10429356040421298,"effective_relax_bits":8,'
+    '"energy_improvement":25.832823311731413,"qol_percent":'
+    '0.00013205631175080458,"qos_ok":true,"relax_bits":8,"speedup":'
+    '0.004037249786663866,"status":"ok","workload":"Robert"},"queue_wait_s":'
+    '0.003411659000050804,"relax_bits":8,"search":null,"service_s":'
+    '0.08307699700003468,"shard":0,"status":"ok","tenant":"default",'
+    '"trace_id":"d1d115c2-00000000","workload":"Robert"},"status":"ok",'
+    '"type":"completed","v":1}\n'
+)
+
+
 def _pool(journal_path, **kwargs):
     kwargs.setdefault("shards", 1)
     kwargs.setdefault("tile_elements", 1 << 9)
@@ -318,6 +341,21 @@ class TestCrashSafeRestart:
         state = load_request_journal(str(path))
         assert state.duplicate_completions == 0
         assert state.replayable == ()
+
+    def test_legacy_batch_size_result_is_redelivered(self, tmp_path):
+        """A result journaled while dispatch still coalesced requests
+        carries ``batch_size``.  It restores as delivered (no re-run) and
+        its digest is unchanged."""
+        path = tmp_path / "requests.jsonl"
+        path.write_text(LEGACY_JOURNAL)
+        with _pool(path) as pool:
+            recovery = pool.stats()["journal"]["recovery"]
+            assert recovery["restored"] == 1
+            assert recovery["replayed"] == 0
+            result = pool.result("default-00000000", timeout=1.0)
+        assert result.status == "ok"
+        assert result.point.speedup == 0.004037249786663866
+        assert result_digest(result.to_dict()) == "8006f00bbd5ed8ac"
 
     def test_double_completion_tripwire_fires(self, tmp_path):
         with _pool(tmp_path / "requests.jsonl") as pool:

@@ -5,15 +5,12 @@ randomised submission traces rather than hand-picked examples:
 
 - conservation: every admitted request is dispatched exactly once —
   none lost, none duplicated;
-- FIFO within a priority class *per tenant and batch key* (coalescing
-  may overtake other keys, never an earlier same-key request);
-- no dispatched batch exceeds ``max_batch_size`` and every batch shares
-  one batch key;
+- dispatch is one request at a time: ``next_batch`` never returns more
+  than one request;
+- strict FIFO within a priority class per tenant, whatever the
+  requests' workload or relax level;
 - admission never over-admits: a class's queued depth never exceeds
   ``queue_capacity``.
-
-``max_wait_s=0`` keeps dispatch synchronous — the properties are about
-ordering and conservation, not timing.
 """
 
 from __future__ import annotations
@@ -44,8 +41,6 @@ submissions = st.lists(
 
 configs = st.builds(
     ServingConfig,
-    max_batch_size=st.integers(1, 8),
-    max_wait_s=st.just(0.0),
     queue_capacity=st.integers(1, 16),
     priorities=st.just(2),
     default_priority=st.just(0),
@@ -74,13 +69,12 @@ def submit_all(scheduler, trace):
 
 
 def drain(scheduler):
-    """Pull batches until empty; returns the list of batches."""
-    batches = []
-    while True:
-        batch = scheduler.next_batch(timeout=0.0)
-        if not batch:
-            return batches
-        batches.append(batch)
+    """Pull until empty; returns the requests in dispatch order."""
+    dispatched = []
+    while batch := scheduler.next_batch(timeout=0.0):
+        assert len(batch) == 1
+        dispatched.append(batch[0])
+    return dispatched
 
 
 class TestSchedulerProperties:
@@ -89,34 +83,24 @@ class TestSchedulerProperties:
     def test_conservation_no_lost_no_duplicated(self, trace, config):
         scheduler = BatchingScheduler(config)
         admitted, rejected = submit_all(scheduler, trace)
-        dispatched = [r.id for batch in drain(scheduler) for r in batch]
+        dispatched = [request.id for request in drain(scheduler)]
         assert sorted(dispatched) == sorted(admitted)
         assert len(admitted) + rejected == len(trace)
 
     @given(trace=submissions, config=configs)
     @settings(max_examples=60, deadline=None)
     def test_fifo_within_priority_tenant_and_key(self, trace, config):
+        """Strict FIFO per (priority, tenant): no request overtakes an
+        earlier one of its tenant and class, whatever either's key."""
         scheduler = BatchingScheduler(config)
         submit_all(scheduler, trace)
         seen = defaultdict(list)
-        for batch in drain(scheduler):
-            for request in batch:
-                seen[
-                    (request.priority, request.tenant, request.batch_key)
-                ].append(request.id)
+        for request in drain(scheduler):
+            seen[(request.priority, request.tenant)].append(request.id)
         for ids in seen.values():
             # ids encode the admission sequence number, so FIFO within a
-            # (priority, tenant, key) stream means sorted dispatch order.
+            # (priority, tenant) stream means sorted dispatch order.
             assert ids == sorted(ids)
-
-    @given(trace=submissions, config=configs)
-    @settings(max_examples=60, deadline=None)
-    def test_batches_bounded_and_key_pure(self, trace, config):
-        scheduler = BatchingScheduler(config)
-        submit_all(scheduler, trace)
-        for batch in drain(scheduler):
-            assert 1 <= len(batch) <= config.max_batch_size
-            assert len({request.batch_key for request in batch}) == 1
 
     @given(trace=submissions, config=configs)
     @settings(max_examples=60, deadline=None)
@@ -144,12 +128,10 @@ class TestSchedulerProperties:
         while class 0 still holds one (single consumer, no new arrivals)."""
         scheduler = BatchingScheduler(
             ServingConfig(
-                max_wait_s=0.0, priorities=2, default_priority=0,
-                queue_capacity=128,
+                priorities=2, default_priority=0, queue_capacity=128,
             )
         )
         submit_all(scheduler, trace)
-        for batch in drain(scheduler):
-            batch_class = batch[0].priority
-            if batch_class > 0:
+        for request in drain(scheduler):
+            if request.priority > 0:
                 assert scheduler.depth(0) == 0

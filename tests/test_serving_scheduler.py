@@ -2,7 +2,7 @@
 
 Deterministic, no threads except where concurrency is the thing under
 test: admission control (queue-full and deadline rejections), priority
-ordering, tenant fair share, same-key batch coalescing, and the
+ordering, tenant fair share, one-request-at-a-time dispatch, and the
 ResultStore's exactly-once completion tripwire.
 """
 
@@ -55,8 +55,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_batch_size": 0},
-            {"max_wait_s": -0.1},
             {"queue_capacity": 0},
             {"priorities": 0},
             {"default_priority": 5},
@@ -151,7 +149,7 @@ class TestAdmission:
 
 class TestDispatchOrder:
     def test_priority_zero_first(self):
-        scheduler = BatchingScheduler(ServingConfig(max_wait_s=0.0))
+        scheduler = BatchingScheduler()
         low = make_request(scheduler, workload="Sobel", priority=2)
         high = make_request(scheduler, workload="FFT", priority=0)
         scheduler.submit(low)
@@ -160,18 +158,40 @@ class TestDispatchOrder:
         assert batch[0].id == high.id
 
     def test_fifo_within_tenant_and_key(self):
-        scheduler = BatchingScheduler(ServingConfig(max_wait_s=0.0))
+        scheduler = BatchingScheduler()
         first = make_request(scheduler)
         second = make_request(scheduler)
         scheduler.submit(first)
         scheduler.submit(second)
-        batch = scheduler.next_batch(timeout=0.0)
-        assert [r.id for r in batch] == [first.id, second.id]
+        assert scheduler.next_batch(timeout=0.0) == [first]
+        assert scheduler.next_batch(timeout=0.0) == [second]
+
+    def test_next_batch_returns_at_most_one_request(self):
+        """Same-key requests queued together still leave one per call,
+        in submission order, across tenants."""
+        scheduler = BatchingScheduler()
+        requests = [
+            make_request(scheduler, tenant=tenant)
+            for tenant in ("a", "a", "b", "b")
+        ]
+        for request in requests:
+            scheduler.submit(request)
+        dispatched = []
+        while batch := scheduler.next_batch(timeout=0.0):
+            assert len(batch) == 1
+            dispatched.append(batch[0])
+        assert sorted(r.id for r in dispatched) == sorted(
+            r.id for r in requests
+        )
+        for tenant in ("a", "b"):
+            assert [r for r in dispatched if r.tenant == tenant] == [
+                r for r in requests if r.tenant == tenant
+            ]
 
     def test_round_robin_across_tenants(self):
         """Distinct-key requests from two tenants alternate: no tenant's
         backlog starves the other."""
-        scheduler = BatchingScheduler(ServingConfig(max_wait_s=0.0))
+        scheduler = BatchingScheduler()
         for index in range(3):
             scheduler.submit(
                 make_request(scheduler, workload="Sobel",
@@ -185,44 +205,12 @@ class TestDispatchOrder:
         assert heads[:2] in (["a", "b"], ["b", "a"])
         assert set(heads) == {"a", "b"}
 
-    def test_same_key_coalesces_across_tenants(self):
-        scheduler = BatchingScheduler(ServingConfig(max_wait_s=0.0))
-        for tenant in ("a", "b", "a", "b"):
-            scheduler.submit(make_request(scheduler, tenant=tenant))
-        batch = scheduler.next_batch(timeout=0.0)
-        assert len(batch) == 4
-        assert len({r.batch_key for r in batch}) == 1
-
-    def test_batch_respects_max_batch_size(self):
-        scheduler = BatchingScheduler(
-            ServingConfig(max_batch_size=3, max_wait_s=0.0)
-        )
-        for _ in range(5):
-            scheduler.submit(make_request(scheduler))
-        assert len(scheduler.next_batch(timeout=0.0)) == 3
-        assert len(scheduler.next_batch(timeout=0.0)) == 2
-
-    def test_coalescing_never_overtakes_same_key(self):
-        """A later same-key request cannot jump an earlier one, even when
-        a different key sits between them."""
-        scheduler = BatchingScheduler(
-            ServingConfig(max_batch_size=2, max_wait_s=0.0)
-        )
-        first = make_request(scheduler, workload="Sobel")
-        other = make_request(scheduler, workload="FFT")
-        third = make_request(scheduler, workload="Sobel")
-        for request in (first, other, third):
-            scheduler.submit(request)
-        batch = scheduler.next_batch(timeout=0.0)
-        assert [r.id for r in batch] == [first.id, third.id]
-        assert scheduler.next_batch(timeout=0.0)[0].id == other.id
-
     def test_empty_queue_times_out_empty(self):
         scheduler = BatchingScheduler()
         assert scheduler.next_batch(timeout=0.0) == []
 
     def test_requeue_goes_to_the_front(self):
-        scheduler = BatchingScheduler(ServingConfig(max_wait_s=0.0))
+        scheduler = BatchingScheduler()
         first = make_request(scheduler, workload="Sobel")
         second = make_request(scheduler, workload="FFT")
         scheduler.submit(first)
@@ -235,7 +223,7 @@ class TestDispatchOrder:
         assert scheduler.next_batch(timeout=0.0)[0].id == second.id
 
     def test_depth_and_stats_track_queues(self):
-        scheduler = BatchingScheduler(ServingConfig(max_wait_s=0.0))
+        scheduler = BatchingScheduler()
         scheduler.submit(make_request(scheduler, priority=0))
         scheduler.submit(make_request(scheduler, priority=2))
         assert scheduler.depth() == 2

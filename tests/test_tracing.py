@@ -11,9 +11,13 @@ the record.
 from __future__ import annotations
 
 import json
+import statistics
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShardUnavailableError, TracingError
 from repro.observability.tracing import (
@@ -27,7 +31,7 @@ from repro.observability.tracing import (
 from repro.runtime.chaos import ChaosPolicy
 from repro.runtime.supervisor import ManualClock
 from repro.serving import Client, CrossbarPool
-from repro.serving.scheduler import BatchingScheduler, ServeRequest
+from repro.serving.scheduler import ServeRequest
 
 TILE = 1 << 9
 
@@ -111,6 +115,66 @@ class TestTraceStore:
         assert timeline["baggage"] == {"workload": "Sobel"}
         assert store.timeline("unknown") is None
         assert store.trace_id_for("unknown") is None
+
+    def test_bind_to_an_evicted_trace_stores_nothing(self):
+        store = _store(capacity=1)
+        first = store.new_trace()
+        store.bind("request-1", first.trace_id)
+        second = store.new_trace()  # evicts the first trace and its alias
+        assert store.trace_id_for("request-1") is None
+        store.bind("request-2", first.trace_id)
+        assert store.trace_id_for("request-2") is None
+        assert store._aliases == {}
+        store.bind("request-1", second.trace_id)
+        assert store.get("request-1").trace_id == second.trace_id
+
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 30)),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_aliases_stay_consistent_under_eviction(self, ops):
+        """Every alias resolves to a resident trace, and the reverse
+        index mirrors the forward one, whatever mix of opens, binds,
+        rebinds and evictions ran."""
+        store = _store(capacity=3)
+        opened = []
+        for open_trace, alias, pick in ops:
+            if open_trace or not opened:
+                opened.append(store.new_trace().trace_id)
+            else:
+                store.bind(f"r{alias}", opened[pick % len(opened)])
+        assert set(store._aliases.values()) <= set(store._records)
+        reverse = {
+            (alias, trace_id)
+            for trace_id, aliases in store._aliases_of.items()
+            for alias in aliases
+        }
+        assert reverse == set(store._aliases.items())
+        for alias, trace_id in store._aliases.items():
+            assert store.get(alias).trace_id == trace_id
+
+    def test_full_store_cost_per_request_is_independent_of_capacity(self):
+        """A full store's new_trace+bind costs the same at capacity 4096
+        as at 256: eviction drops the victim's aliases without walking
+        every alias in the store."""
+
+        def per_op_median(capacity):
+            store = TraceStore(capacity=capacity, id_prefix="t")
+            for index in range(capacity):  # fill it: every op now evicts
+                store.bind(f"fill-{index}", store.new_trace().trace_id)
+            samples = []
+            for index in range(2000):
+                start = time.perf_counter()
+                ctx = store.new_trace()
+                store.bind(f"r-{index}", ctx.trace_id)
+                samples.append(time.perf_counter() - start)
+            return statistics.median(samples)
+
+        small, large = per_op_median(256), per_op_median(4096)
+        assert large / small < 2, (small, large)
 
     def test_spill_all_flushes_every_resident_trace(self, tmp_path):
         path = str(tmp_path / "flush.jsonl")
@@ -238,8 +302,10 @@ REQUIRED_LAYERS = {"frontend", "scheduler", "pool", "supervisor", "executor"}
 class TestPoolTracing:
     def test_clean_request_covers_all_layers(self):
         store = TraceStore(id_prefix="t")
+        # A seed no other test uses keeps the tile cold, so the request
+        # reaches the executor layer.
         with CrossbarPool(
-            shards=1, tile_elements=TILE, trace_store=store
+            shards=1, tile_elements=TILE, trace_store=store, seed=90_003
         ) as pool:
             result = Client(pool, tenant="tr").call("Robert", relax_bits=8)
         assert result.status == "ok"
@@ -314,7 +380,7 @@ class TestPoolTracing:
         assert event.attrs == {"shards": 1}
 
     def test_reroute_off_a_sick_shard_is_traced(self):
-        """A batch held by a shard whose breaker trips is handed back:
+        """A request held by a shard whose breaker trips is handed back:
         both the pool's reroute and the scheduler's requeue appear."""
         store = TraceStore(id_prefix="t")
         pool = CrossbarPool(shards=2, tile_elements=TILE,
@@ -326,7 +392,7 @@ class TestPoolTracing:
         sick = pool.shards[0]
         for _ in range(sick.breaker.failure_threshold):
             sick.breaker.record_failure(sick.key)
-        pool._run_batch(sick, [request])
+        pool._dispatch(sick, request)
         kinds = [e.kind for e in store.get(ctx.trace_id).events]
         assert kinds == ["reroute", "reroute_requeue"]
         assert request.reroutes == 1
@@ -342,33 +408,9 @@ class TestPoolTracing:
             deadline_at=time_module.monotonic() - 1.0, trace=ctx,
         )
         pool.results.register(request.id)
-        pool._run_request(pool.shards[0], request, batch_size=1)
+        pool._run_request(pool.shards[0], request)
         result = pool.results.get(request.id)
         assert result.status == "expired"
         assert result.trace_id == ctx.trace_id
         (event,) = store.get(ctx.trace_id).events
         assert (event.layer, event.kind) == ("pool", "expired")
-
-
-class TestBatchLinking:
-    def test_followers_link_the_leaders_trace(self):
-        store = _store()
-        scheduler = BatchingScheduler()
-        requests = []
-        for index in range(3):
-            ctx = store.new_trace()
-            request = ServeRequest(
-                id=f"b-{index}", workload="Sobel", relax_bits=8, trace=ctx,
-            )
-            scheduler.submit(request)
-            requests.append(request)
-        batch = scheduler.next_batch(timeout=0.0)
-        assert [r.id for r in batch] == ["b-0", "b-1", "b-2"]
-        leader = store.get(requests[0].trace.trace_id)
-        leader_kinds = [e.kind for e in leader.events]
-        assert leader_kinds == ["queue_enter", "queue_exit", "batch_lead"]
-        for position, request in enumerate(requests[1:], start=1):
-            record = store.get(request.trace.trace_id)
-            join = next(e for e in record.events if e.kind == "batch_join")
-            assert join.attrs["head_trace"] == requests[0].trace.trace_id
-            assert join.attrs["position"] == position

@@ -28,18 +28,16 @@ Commands:
 - ``fleet`` — the fleet control plane: run the offline design-space
   exploration (sweep block geometry x interconnect x shard count, fold
   into a cost-latency Pareto frontier, write the
-  per-tenant ``--fleet-config`` selection), or ``--quick`` — force one
-  scale-up and one scale-down under a manual clock and assert ``/fleet``
-  reflects both.
+  per-tenant ``--fleet-config`` selection).
 - ``slo`` — drive a request burst through a pool and report per-layer
   tail latency (p50/p95/p99/p999) plus multi-window burn-rate verdicts
   against an SLO policy.
-- ``trace`` — pretty-print one request's end-to-end trace timeline
-  (from a live demo pool with ``--quick``, or a JSONL spill file).
+- ``trace --file SPILL.jsonl`` — list the traces a
+  :class:`~repro.observability.tracing.TraceStore` spilled, or
+  pretty-print one request's end-to-end timeline (a live server answers
+  ``GET /trace/<id>``).
 - ``search`` — in-memory binarized similarity search: recall-vs-relax
-  demo over a seeded codebook, or the served round-trip self-test
-  (``--quick``: boot a real server, POST /search, assert the top-k is
-  bit-identical to a numpy brute force).
+  demo over a seeded codebook (a live server answers ``POST /search``).
 - ``workloads`` — list available workloads.
 """
 
@@ -69,6 +67,7 @@ from repro.analysis.tables import (
     render_table1,
 )
 from repro.core.approximation import ApproxSpec
+from repro.errors import ServingError
 from repro.runtime.executor import APIMExecutor
 from repro.units import format_si
 from repro.workloads import all_workloads, extension_workloads, workload_by_name
@@ -81,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="APIM (DAC 2017) reproduction toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream the supervision timeline to a Chrome trace file",
     )
     p.add_argument(
-        "--quick", action="store_true",
-        help="tiny smoke grid (CI): one workload, two levels, two rates",
-    )
-    p.add_argument(
         "--worker-kill-rate", type=float, default=0.0,
         help="also run a subprocess-pool arm that SIGKILLs live workers "
         "at this per-request rate and asserts zero lost requests",
@@ -203,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None,
         help="stream span timings to a Chrome trace file",
     )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="tiny smoke grid (CI): one level, small tile",
-    )
 
     p = sub.add_parser(
         "serve",
@@ -233,15 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         "before forcing shutdown",
     )
     p.add_argument(
-        "--journal", nargs="?", const="", default=None, metavar="DIR",
+        "--journal", default=None, metavar="DIR",
         help="write-ahead request journal directory: acknowledged "
-        "requests survive a server crash and replay on restart (with "
-        "--quick, DIR may be omitted to use a temporary directory)",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="self-test (CI): boot on an ephemeral port, round-trip one "
-        "workload over HTTP, verify the result, exit",
+        "requests survive a server crash and replay on restart",
     )
     p.add_argument(
         "--fleet-config", default=None, metavar="FILE",
@@ -291,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fleet",
         help="offline design-space exploration -> Pareto frontier -> "
-        "fleet config, or the autoscaler smoke test",
+        "fleet config",
     )
     p.add_argument(
         "-o", "--output", default="fleet.json",
@@ -321,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenant", action="append", default=None, metavar="NAME:PRIO:SLO_S",
         help="tenant spec (repeatable), e.g. --tenant alice:0:0.5",
     )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="self-test (CI): boot a pool+server on a manual clock, force "
-        "one scale-up and one scale-down, assert /fleet reflects both",
-    )
 
     p = sub.add_parser(
         "slo",
@@ -351,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="transient-fault injection rate while serving",
     )
     p.add_argument("--seed", type=int, default=2017)
-    p.add_argument(
-        "--quick", action="store_true",
-        help="tiny burst (CI): one workload, two levels, small tile",
-    )
 
     p = sub.add_parser(
         "trace",
@@ -367,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--file", default=None,
         help="read traces from a TraceStore JSONL spill file",
-    )
-    p.add_argument("--seed", type=int, default=2017)
-    p.add_argument(
-        "--quick", action="store_true",
-        help="demo/CI: serve one chaos-faulted request in-process and "
-        "print its timeline",
     )
 
     p = sub.add_parser(
@@ -406,20 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="relax-bits rungs for the recall ladder",
     )
     p.add_argument("--seed", type=int, default=2017)
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument(
-        "--runtime", choices=("inline", "thread", "subprocess"),
-        default="thread",
-        help="shard runtime for the --quick served round trip",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="self-test (CI): boot a real server, round-trip POST "
-        "/search, assert the exact-tier top-k is bit-identical to a "
-        "numpy brute force, exit",
-    )
 
     sub.add_parser("workloads", help="list available workloads")
+    # A prefix must never silently stand in for an option (``--rate``
+    # for ``--rates``): every parser rejects abbreviations.
+    for subparser in sub.choices.values():
+        subparser.allow_abbrev = False
     return parser
 
 
@@ -469,37 +432,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """Sweep injected fault rates; non-zero exit on any lost point."""
     from repro.runtime.chaos import ChaosPolicy, chaos_table, run_chaos_campaign
 
-    workloads = list(args.workloads)
-    levels = list(args.levels)
-    rates = list(args.rates)
-    tile = args.tile
-    seed = args.seed
-    if args.quick:
-        workloads, levels, rates, tile = ["Robert"], [0, 16], [0.0, 0.2], 1 << 9
-        # This seed provably injects (and recovers) a transient on the tiny
-        # grid, so the CI smoke exercises the retry path, not just a clean run.
-        seed = 1
     outcomes = []
-    for rate in rates:
+    for rate in args.rates:
         policy = ChaosPolicy(
             transient_rate=rate,
             latency_rate=args.latency_rate,
             corrupt_rate=args.corrupt_rate,
-            seed=seed,
+            seed=args.seed,
         )
         outcomes.append(
             run_chaos_campaign(
-                workloads=workloads,
-                relax_levels=levels,
+                workloads=list(args.workloads),
+                relax_levels=list(args.levels),
                 policy=policy,
-                tile_elements=tile,
+                tile_elements=args.tile,
                 max_attempts=args.retries,
                 trace_path=args.trace,
             )
         )
     print("chaos recovery: supervised campaign under injected faults")
     print(chaos_table(outcomes))
-    expected = len(workloads) * len(levels)
+    expected = len(args.workloads) * len(args.levels)
     lost = sum(
         expected - len(outcome.result.points)
         + outcome.status_counts["failed"]
@@ -512,19 +465,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"all {expected} points terminal in every sweep — zero lost")
     code = 0
     if args.worker_kill_rate > 0.0:
-        code = _chaos_worker_kill_arm(args, workloads, levels, tile, seed)
+        code = _chaos_worker_kill_arm(args)
     if code == 0 and args.server_kill:
-        code = _chaos_server_kill_arm(args, workloads, levels, tile, seed)
+        code = _chaos_server_kill_arm(args)
     return code
 
 
-def _chaos_worker_kill_arm(
-    args: argparse.Namespace,
-    workloads: list,
-    levels: list,
-    tile: int,
-    seed: int,
-) -> int:
+def _chaos_worker_kill_arm(args: argparse.Namespace) -> int:
     """Worker-death chaos: SIGKILL live subprocess workers mid-request.
 
     Drives the grid through a 2-shard subprocess pool whose parent-side
@@ -537,17 +484,17 @@ def _chaos_worker_kill_arm(
     from repro.serving.pool import Client, CrossbarPool
 
     rate = args.worker_kill_rate
-    grid = [(w, level) for w in workloads for level in levels]
+    grid = [(w, level) for w in args.workloads for level in args.levels]
     # Repeat the grid until the arm sees >= 8 requests: enough traffic
     # that a 10-50% kill rate deterministically lands some kills.
     repeats = max(1, -(-8 // len(grid)))
     pool = CrossbarPool(
         shards=2,
-        tile_elements=tile,
-        seed=seed,
+        tile_elements=args.tile,
+        seed=args.seed,
         chaos_policy=ChaosPolicy(
             transient_rate=0.0, latency_rate=0.0, corrupt_rate=0.0,
-            worker_kill_rate=rate, seed=seed,
+            worker_kill_rate=rate, seed=args.seed,
         ),
         runtime="subprocess",
     )
@@ -590,13 +537,7 @@ def _chaos_worker_kill_arm(
     return 0
 
 
-def _chaos_server_kill_arm(
-    args: argparse.Namespace,
-    workloads: list,
-    levels: list,
-    tile: int,
-    seed: int,
-) -> int:
+def _chaos_server_kill_arm(args: argparse.Namespace) -> int:
     """Whole-server chaos: SIGKILL a journaled serving process mid-load.
 
     Boots ``repro serve --journal`` as a real subprocess, submits keyed
@@ -610,10 +551,10 @@ def _chaos_server_kill_arm(
 
     summary = run_server_kill_test(
         requests=args.server_kill_requests,
-        tile=tile,
-        seed=seed,
-        workloads=tuple(workloads),
-        levels=tuple(levels),
+        tile=args.tile,
+        seed=args.seed,
+        workloads=tuple(args.workloads),
+        levels=tuple(args.levels),
     )
     recovery = summary["recovery"]
     print(
@@ -664,9 +605,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.runtime.campaign import run_campaign
     from repro.runtime.supervisor import RetryPolicy, Supervisor
 
-    levels = [0] if args.quick else list(args.levels)
-    tile = (1 << 8) if args.quick else args.tile
-
     # A fresh registry per invocation: the scrape describes this run, not
     # whatever executed earlier in the process.
     registry = MetricsRegistry()
@@ -684,8 +622,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             ),
         )
         result = run_campaign(
-            [args.workload], levels,
-            tile_elements=tile,
+            [args.workload], list(args.levels),
+            tile_elements=args.tile,
             supervisor=supervisor,
             seed=args.seed,
         )
@@ -737,26 +675,13 @@ def _serve_metrics(registry, port: int) -> None:  # pragma: no cover - manual
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Boot the sharded serving frontend (or its --quick self-test)."""
-    from repro.serving.frontend import build_server, quick_selftest
+    """Boot the sharded serving frontend."""
+    from repro.serving.frontend import build_server
     from repro.serving.pool import CrossbarPool
     from repro.serving.scheduler import ServingConfig
 
-    if args.quick:
-        journal_dir = None
-        if args.journal is not None:
-            import tempfile
-
-            journal_dir = args.journal or tempfile.mkdtemp(
-                prefix="repro-journal-"
-            )
-            os.makedirs(journal_dir, exist_ok=True)
-        return quick_selftest(runtime=args.runtime, journal_dir=journal_dir)
     journal_path = None
     if args.journal is not None:
-        if not args.journal:
-            print("error: --journal requires DIR outside --quick")
-            return 2
         os.makedirs(args.journal, exist_ok=True)
         journal_path = os.path.join(args.journal, "requests.jsonl")
     shards = args.shards
@@ -1002,44 +927,62 @@ def _top_process_values(pipeline) -> dict:
     return process
 
 
+def _top_get(url: str) -> tuple[int, object]:
+    """``GET url`` as JSON; an unreachable or non-JSON server becomes a
+    :class:`ServingError` naming the URL instead of a urllib traceback."""
+    from repro.serving.http import request_json
+
+    try:
+        return request_json(url)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "reason", exc)
+        raise ServingError(f"GET {url} -> {reason}") from exc
+
+
+def _top_url(base: str, frames: int | None, interval: float) -> int:
+    """Poll a live server's ``/stats``, ``/alerts`` and ``/query``."""
+    rendered = 0
+    while frames is None or rendered < frames:
+        if rendered:
+            time.sleep(interval)
+        status, stats = _top_get(f"{base}/stats")
+        if status != 200:
+            print(f"error: GET {base}/stats -> {status} {stats}")
+            return 1
+        status, alerts = _top_get(f"{base}/alerts")
+        if status != 200:
+            alerts = None  # telemetry not enabled on that server
+        process = {}
+        if (stats.get("telemetry") or {}).get("ticks"):
+            for name in (
+                "repro_process_rss_bytes",
+                "repro_process_cpu_user_seconds",
+                "repro_process_cpu_system_seconds",
+                "repro_process_threads",
+                "repro_process_open_fds",
+            ):
+                status, payload = _top_get(
+                    f"{base}/query?series={name}&fn=value"
+                )
+                if status == 200 and payload.get("series"):
+                    derived = payload["series"][0].get("derived") or {}
+                    if derived.get("value") is not None:
+                        process[name] = derived["value"]
+        print(_render_top(stats, alerts, process))
+        rendered += 1
+    return 0
+
+
 def _cmd_top(args: argparse.Namespace) -> int:
     """The fleet dashboard (one-shot, polling, or live-URL mode)."""
     frames = 1 if args.once else args.frames
 
     if args.url is not None:
-        from repro.serving.frontend import _http_json
-
-        base = args.url.rstrip("/")
-        rendered = 0
-        while frames is None or rendered < frames:
-            if rendered:
-                time.sleep(args.interval)
-            status, stats = _http_json(f"{base}/stats")
-            if status != 200:
-                print(f"error: GET {base}/stats -> {status} {stats}")
-                return 1
-            status, alerts = _http_json(f"{base}/alerts")
-            if status != 200:
-                alerts = None  # telemetry not enabled on that server
-            process = {}
-            if (stats.get("telemetry") or {}).get("ticks"):
-                for name in (
-                    "repro_process_rss_bytes",
-                    "repro_process_cpu_user_seconds",
-                    "repro_process_cpu_system_seconds",
-                    "repro_process_threads",
-                    "repro_process_open_fds",
-                ):
-                    status, payload = _http_json(
-                        f"{base}/query?series={name}&fn=value"
-                    )
-                    if status == 200 and payload.get("series"):
-                        derived = payload["series"][0].get("derived") or {}
-                        if derived.get("value") is not None:
-                            process[name] = derived["value"]
-            print(_render_top(stats, alerts, process))
-            rendered += 1
-        return 0
+        try:
+            return _top_url(args.url.rstrip("/"), frames, args.interval)
+        except ServingError as exc:
+            print(f"error: {exc}")
+            return 1
 
     # In-process demo: a real pool with telemetry attached, driven by a
     # short burst per frame.  Slow traffic is injected straight into the
@@ -1083,11 +1026,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Offline DSE -> Pareto frontier -> fleet config (or the smoke)."""
-    if args.quick:
-        from repro.serving.frontend import fleet_quick_selftest
-
-        return fleet_quick_selftest()
+    """Offline DSE -> Pareto frontier -> fleet config."""
     from repro.fleet import run_dse, write_fleet_config
 
     tenants = None
@@ -1145,10 +1084,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.observability.slo import SLOPolicy, evaluate_points
     from repro.serving.pool import Client, CrossbarPool
 
-    workloads = ["Robert"] if args.quick else list(args.workloads)
-    levels = [0, 16] if args.quick else list(args.levels)
-    tile = (1 << 9) if args.quick else args.tile
-    repeat = 2 if args.quick else args.repeat
     policy = SLOPolicy(
         latency_target_s=args.target,
         error_budget=args.budget,
@@ -1166,7 +1101,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         )
     pool = CrossbarPool(
         shards=args.shards,
-        tile_elements=tile,
+        tile_elements=args.tile,
         seed=args.seed,
         chaos_policy=chaos,
         slo_policy=policy,
@@ -1174,9 +1109,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     results = []
     with pool:
         client = Client(pool, tenant="slo")
-        for _ in range(repeat):
-            for workload in workloads:
-                for level in levels:
+        for _ in range(args.repeat):
+            for workload in args.workloads:
+                for level in args.levels:
                     results.append(
                         client.call(
                             workload, relax_bits=level,
@@ -1225,7 +1160,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Pretty-print a trace timeline (live demo or spill file)."""
+    """Pretty-print a trace timeline from a spill file."""
     from repro.observability.tracing import format_timeline, load_spilled
 
     if args.file is not None:
@@ -1241,53 +1176,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 return 0
         print(f"trace {args.trace_id!r} not found in {args.file}")
         return 1
-    if not args.quick:
-        print(
-            "repro trace needs --quick (in-process demo) or "
-            "--file SPILL.jsonl; live servers expose GET /trace/<id>"
-        )
-        return 2
-    from repro.runtime.chaos import ChaosPolicy
-    from repro.serving.pool import Client, CrossbarPool
-
-    pool = CrossbarPool(
-        shards=1,
-        tile_elements=1 << 9,
-        seed=args.seed,
-        chaos_policy=ChaosPolicy(
-            transient_rate=0.1, latency_rate=0.0, corrupt_rate=0.0,
-            seed=args.seed,
-        ),
-    )
-    with pool:
-        client = Client(pool, tenant="demo")
-        result = client.call("Robert", relax_bits=8, dataset_bytes=1 << 20)
-        record = pool.traces.get(result.trace_id)
-    if record is None:
-        print(f"trace {result.trace_id!r} missing from the store")
-        return 1
-    print(format_timeline(record))
-    layers = {event.layer for event in record.events}
-    needed = {"frontend", "scheduler", "pool", "supervisor", "executor"}
-    missing = needed - layers
-    if missing:
-        print(f"TIMELINE INCOMPLETE: missing layers {sorted(missing)}")
-        return 1
     print(
-        f"trace ok: {len(record.events)} events across "
-        f"{len(layers)} layers, terminal status {result.status!r}"
+        "repro trace needs --file SPILL.jsonl; live servers expose "
+        "GET /trace/<id>"
     )
-    return 0
+    return 2
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    """Similarity-search demo (recall ladder) or served self-test."""
-    if args.quick:
-        from repro.serving.frontend import search_quick_selftest
-
-        return search_quick_selftest(
-            shards=args.shards, runtime=args.runtime
-        )
+    """Similarity-search demo: the recall-vs-relax ladder."""
     from repro.search import (
         MagicHammingKernel,
         build_planted_index,

@@ -17,10 +17,11 @@ handlers never see query strings, so existing routes are untouched).
 Handler exceptions become a 500 JSON error instead of a stack trace over
 the socket.
 
-The server binds ``port=0`` for an ephemeral port (tests, the ``--quick``
-self-test), runs in the background via :meth:`start` or in the foreground
+The server binds ``port=0`` for an ephemeral port (tests), runs in the background via :meth:`start` or in the foreground
 via :meth:`serve_forever`, which installs graceful signal handlers —
 in-flight requests finish, the listener closes, handlers are restored.
+:func:`request_json` is the matching client: one JSON round trip over
+plain ``urllib``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import re
 import signal
 import socket
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs
@@ -42,6 +45,7 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "JsonHttpServer",
     "Route",
+    "request_json",
 ]
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
@@ -53,6 +57,31 @@ Route = tuple[str, re.Pattern, Callable]
 #: Default ceiling on request bodies: far above any sane submit payload,
 #: far below anything that could exhaust memory.
 DEFAULT_MAX_BODY_BYTES = 1 << 20
+
+
+def request_json(
+    url: str, payload: dict | None = None, timeout: float = 10.0
+) -> tuple[int, object]:
+    """One urllib round trip; returns ``(status, decoded JSON body)``.
+
+    A ``payload`` makes it a JSON ``POST``, otherwise a ``GET``.  An HTTP
+    error status is returned, not raised.  An unreachable server raises
+    :class:`OSError` (``urllib.error.URLError``); a body that is not JSON
+    raises :class:`ValueError`.
+    """
+    if payload is None:
+        request = urllib.request.Request(url)
+    else:
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read() or b"{}")
 
 
 def _sanitize(obj):
@@ -231,7 +260,7 @@ class JsonHttpServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "JsonHttpServer":
-        """Serve from a daemon background thread (tests, self-tests)."""
+        """Serve from a daemon background thread (tests, embedded servers)."""
         if self._thread is not None:
             raise ServingError("server already started")
         self._thread = threading.Thread(

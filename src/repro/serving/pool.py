@@ -1238,8 +1238,8 @@ class CrossbarPool:
 class Client:
     """In-process client: submit-and-wait against a :class:`CrossbarPool`.
 
-    The synchronous call path used by tests, the ``--quick`` self-test
-    and the closed-loop arms of the throughput bench; the HTTP frontend
+    The synchronous call path used by tests, the CLI drills and the
+    closed-loop arms of the throughput bench; the HTTP frontend
     is the same facade over a socket.
     """
 

@@ -131,6 +131,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--rate", "0.5"],
+        ["serve", "--runt", "subprocess"],
+    ])
+    def test_option_abbreviations_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestReport:
     def test_generate_report_small_scale(self):

@@ -40,6 +40,8 @@ from repro.fleet import (
 )
 from repro.runtime.comparison import ComparisonHarness
 from repro.runtime.supervisor import ManualClock
+from repro.serving.frontend import build_server
+from repro.serving.http import request_json
 from repro.serving.pool import Client, CrossbarPool
 from repro.serving.scheduler import BatchingScheduler, ServingConfig
 from repro.workloads import workload_by_name
@@ -261,7 +263,7 @@ class TestAutoscaler:
         assert run() == run()
 
     def test_decisions_surface_on_fleet_status_and_traces(self):
-        pool, autoscaler, _ = _manual_autoscaler()
+        pool, autoscaler, clock = _manual_autoscaler()
         autoscaler.step(verdict="slow_burn")
         autoscaler.step(verdict="slow_burn")
         status = pool.fleet_status()["autoscaler"]
@@ -277,6 +279,17 @@ class TestAutoscaler:
             if event.layer == "fleet"
         ]
         assert any(event.kind == "grow" for event in events)
+        # GET /fleet serves the same control plane, through both resizes.
+        with build_server(pool) as server:
+            status, fleet = request_json(f"{server.url}/fleet")
+            assert status == 200 and fleet["shards"] == 2
+            assert fleet["autoscaler"]["scale_ups"] == 1
+            clock.advance(autoscaler.policy.cooldown_s + 0.1)
+            autoscaler.step(verdict="ok")
+            assert autoscaler.step(verdict="ok")["action"] == "shrink"
+            status, fleet = request_json(f"{server.url}/fleet")
+            assert status == 200 and fleet["shards"] == 1
+            assert fleet["autoscaler"]["scale_downs"] == 1
 
 
 class TestDSE:

@@ -201,7 +201,9 @@ class TestCliMetrics:
 
         # A seed no other test uses keeps the tile cold, so the run
         # reaches the executor and its families appear.
-        assert main(["metrics", "--quick", "--seed", "90004"]) == 0
+        assert main([
+            "metrics", "--levels", "0", "--tile", "256", "--seed", "90004",
+        ]) == 0
         out = capsys.readouterr().out
         assert "repro_executor_ops_total" in out
         assert "repro_supervisor_retries_total 0" in out
@@ -214,7 +216,7 @@ class TestCliMetrics:
         scrape = tmp_path / "scrape.prom"
         telemetry = tmp_path / "telemetry.jsonl"
         assert main([
-            "metrics", "--quick",
+            "metrics", "--levels", "0", "--tile", "256",
             "-o", str(scrape), "--jsonl", str(telemetry),
         ]) == 0
         assert "repro_executor_ops_total" in scrape.read_text()

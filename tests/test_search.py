@@ -10,10 +10,7 @@ full serving lifecycle (journal, idempotency, trace, replay).
 
 from __future__ import annotations
 
-import json
 import time
-import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -32,6 +29,7 @@ from repro.search import (
     recall_at_k,
 )
 from repro.serving.frontend import build_server
+from repro.serving.http import request_json
 from repro.serving.pool import SEARCH_WORKLOAD, Client, CrossbarPool
 
 TILE = 1 << 9
@@ -273,22 +271,6 @@ class TestServedSearch:
             assert second.search["distances"] == first.search["distances"]
 
 
-def _http_json(url: str, payload: dict | None = None):
-    if payload is None:
-        request = urllib.request.Request(url)
-    else:
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-    try:
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read() or b"{}")
-
-
 class TestSearchEndpoint:
     def test_post_search_over_http(self):
         pool = CrossbarPool(shards=1, tile_elements=TILE, runtime="inline")
@@ -299,12 +281,12 @@ class TestSearchEndpoint:
             query = np.random.default_rng(11).integers(
                 0, 2, index.dim
             ).tolist()
-            status, reply = _http_json(
+            status, reply = request_json(
                 f"{base}/search", {"query": query, "k": 5}
             )
             assert status == 202 and "id" in reply
             for _ in range(200):
-                status, result = _http_json(
+                status, result = request_json(
                     f"{base}/result/{reply['id']}"
                 )
                 if status == 200:
@@ -314,13 +296,13 @@ class TestSearchEndpoint:
             top = index.top_k(np.asarray(query), 5, relax_bits=0)
             assert tuple(result["search"]["ids"]) == top.ids
             # Client mistakes are self-correcting 400s.
-            status, _ = _http_json(f"{base}/search", {"query": [0, 1, 2]})
+            status, _ = request_json(f"{base}/search", {"query": [0, 1, 2]})
             assert status == 400
-            status, _ = _http_json(
+            status, _ = request_json(
                 f"{base}/search", {"query": query, "bogus": 1}
             )
             assert status == 400
-            status, body = _http_json(
+            status, body = request_json(
                 f"{base}/submit", {"workload": "nope"}
             )
             assert status == 400

@@ -2,13 +2,15 @@
 
 Every test binds an ephemeral port (``port=0``) and talks plain
 ``urllib`` — the same path an external client takes.  The frontend tests
-run one module-scoped pool on tiny tiles; the ``--quick`` self-test
-(which repeats the full round trip and verifies the payload bit-for-bit
-against direct pricing) backs these in CI.
+run one module-scoped pool on tiny tiles: a served point must match
+direct in-process pricing field for field, its trace must be served
+over ``/trace/<id>``, and the idempotency-key contract holds on both
+``/submit`` and ``/search``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import urllib.error
@@ -16,9 +18,14 @@ import urllib.request
 
 import pytest
 
+from repro.runtime.campaign import run_point
+from repro.runtime.comparison import ComparisonHarness
+from repro.search import default_search_index
 from repro.serving import CrossbarPool, JsonHttpServer
 from repro.serving.frontend import build_server
 from repro.serving.http import JSON_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE
+from repro.units import MIB
+from repro.workloads import workload_by_name
 
 TILE = 1 << 9
 
@@ -150,7 +157,7 @@ def served_pool():
 
 class TestFrontend:
     def test_submit_poll_result(self, served_pool):
-        _, server = served_pool
+        pool, server = served_pool
         status, _, reply = fetch(
             f"{server.url}/submit",
             payload={"workload": "Robert", "relax_bits": 8},
@@ -164,6 +171,50 @@ class TestFrontend:
         assert status == 200
         assert result["status"] == "ok"
         assert result["point"]["speedup"] > 0
+        # The served point is bit-identical to direct pricing at the
+        # pool's tile and seed (the submit default is 64 MiB).
+        direct = run_point(
+            workload_by_name("Robert"), 8, 64 * MIB,
+            ComparisonHarness(
+                tile_elements=pool.tile_elements, rng_seed=pool.seed
+            ),
+        )
+        assert result["point"] == dataclasses.asdict(direct)
+        trace_id = result["trace_id"]
+        status, _, timeline = fetch(f"{server.url}/trace/{trace_id}")
+        assert status == 200
+        assert timeline["events"] == pool.traces.timeline(trace_id)["events"]
+        status, _, _ = fetch(f"{server.url}/trace/no-such-trace")
+        assert status == 404
+        status, _, stats = fetch(f"{server.url}/stats")
+        assert status == 200 and stats["scheduler"]["admitted"] >= 1
+
+    def test_idempotency_keys_on_submit_and_search(self, served_pool):
+        pool, server = served_pool
+        query = [0, 1] * (default_search_index(seed=pool.seed).dim // 2)
+        for route, payload in (
+            ("submit", {"workload": "Sobel", "relax_bits": 8}),
+            ("search", {"query": query, "k": 5, "relax_bits": 0}),
+        ):
+            key = f"http-{route}-key"
+            payload = {**payload, "idempotency_key": key}
+            url = f"{server.url}/{route}"
+            status, _, first = fetch(url, payload=payload)
+            assert status == 202 and first["status"] == "queued"
+            status, _, again = fetch(url, payload=payload)
+            assert status == 200
+            assert again["status"] == "duplicate"
+            assert again["id"] == first["id"]
+            status, _, conflict = fetch(
+                url, payload={**payload, "relax_bits": 16}
+            )
+            assert status == 409
+            assert conflict["idempotency_key"] == key
+            assert conflict["id"] == first["id"]
+        status, _, body = fetch(
+            f"{server.url}/search", payload={"query": query, "k": 0}
+        )
+        assert status == 400 and "error" in body
 
     def test_submit_validations(self, served_pool):
         _, server = served_pool

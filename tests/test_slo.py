@@ -218,20 +218,43 @@ class TestCLI:
     def test_slo_quick_exits_zero(self, capsys):
         from repro.cli import main
 
-        assert main(["slo", "--quick"]) == 0
+        assert main([
+            "slo", "--workloads", "Robert", "--levels", "0", "16",
+            "--tile", "512", "--repeat", "2",
+        ]) == 0
         out = capsys.readouterr().out
         assert "verdict=" in out
         assert "p999" in out
 
-    def test_trace_quick_exits_zero(self, capsys):
+    def test_trace_file_lists_and_prints_spilled_traces(
+        self, tmp_path, capsys
+    ):
         from repro.cli import main
+        from repro.observability.tracing import TraceStore
 
-        # A seed no other test uses keeps the tile cold, so the trace
-        # reaches the executor layer.
-        assert main(["trace", "--quick", "--seed", "90005"]) == 0
+        path = str(tmp_path / "spill.jsonl")
+        store = TraceStore(
+            id_prefix="t", clock=ManualClock(), spill_path=path
+        )
+        first = store.new_trace(tenant="a")
+        first.event("frontend", "admitted", request_id="r1")
+        first.event("executor", "run", workload="Robert")
+        store.new_trace(tenant="b").event("pool", "dispatch", shard=0)
+        assert store.spill_all() == 2
+
+        assert main(["trace", "--file", path]) == 0
         out = capsys.readouterr().out
-        assert "trace " in out
-        assert "executor" in out
+        assert f"{path}: 2 spilled trace(s)" in out
+        assert f"{first.trace_id}  events=2" in out
+
+        assert main(["trace", first.trace_id, "--file", path]) == 0
+        out = capsys.readouterr().out
+        assert f"trace {first.trace_id}  [tenant=a]" in out
+        assert "frontend" in out and "executor" in out
+        assert "dispatch" not in out  # the other trace's event
+
+        assert main(["trace", "t-unknown", "--file", path]) == 1
+        assert "not found" in capsys.readouterr().out
 
     def test_trace_without_arguments_is_a_usage_error(self, capsys):
         from repro.cli import main

@@ -10,10 +10,9 @@ sustained positive p99 slope while the burn-rate verdict still says
 
 from __future__ import annotations
 
-import json
-import urllib.error
+import re
+import socket
 import urllib.parse
-import urllib.request
 
 import pytest
 
@@ -29,23 +28,11 @@ from repro.observability.timeseries import (
 from repro.runtime.supervisor import ManualClock
 from repro.serving import CrossbarPool
 from repro.serving.frontend import build_server
+from repro.serving.http import JsonHttpServer, request_json
 
 TILE = 1 << 9
 
 P99_SELECTOR = f'{QUANTILE_SERIES}{{layer="e2e",quantile="p99"}}'
-
-
-def fetch(url, payload=None):
-    """One urllib round trip -> (status, decoded body)."""
-    data = None if payload is None else json.dumps(payload).encode()
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=10.0) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
 
 
 def query_url(base, **params):
@@ -78,7 +65,7 @@ class TestTelemetryEndpoints:
         for _ in range(8):
             pool.latency.observe("e2e", 0.25)
             pipeline.tick()
-        status, body = fetch(
+        status, body = request_json(
             query_url(server.url, series=P99_SELECTOR, window=300)
         )
         assert status == 200
@@ -92,7 +79,7 @@ class TestTelemetryEndpoints:
         pool, pipeline, server = telemetry_server
         pool.latency.observe("e2e", 0.25)
         pipeline.tick()
-        status, body = fetch(
+        status, body = request_json(
             query_url(
                 server.url, series=P99_SELECTOR, window=300, fn="mean"
             )
@@ -108,7 +95,7 @@ class TestTelemetryEndpoints:
         for _ in range(64):
             pool.latency.observe("e2e", 2.0 * target)
         pipeline.tick()
-        status, body = fetch(f"{server.url}/alerts")
+        status, body = request_json(f"{server.url}/alerts")
         assert status == 200
         assert "e2e_p99_above_target" in body["firing"]
         rule = next(
@@ -119,19 +106,19 @@ class TestTelemetryEndpoints:
 
     def test_stats_reports_per_tenant_rates(self, telemetry_server):
         pool, pipeline, server = telemetry_server
-        status, reply = fetch(
+        status, reply = request_json(
             f"{server.url}/submit",
             payload={"workload": "Sobel", "relax_bits": 8, "tenant": "acme"},
         )
         assert status == 202
         for _ in range(600):
-            status, _ = fetch(f"{server.url}/result/{reply['id']}")
+            status, _ = request_json(f"{server.url}/result/{reply['id']}")
             if status == 200:
                 break
         assert status == 200
         pipeline.tick()
         pipeline.tick()
-        status, stats = fetch(f"{server.url}/stats")
+        status, stats = request_json(f"{server.url}/stats")
         assert status == 200
         assert stats["telemetry"]["ticks"] == pipeline.ticks
         acme = stats["tenants"]["acme"]
@@ -142,7 +129,7 @@ class TestTelemetryEndpoints:
 
     def test_query_validation_errors_are_400(self, telemetry_server):
         _, _, server = telemetry_server
-        status, body = fetch(f"{server.url}/query")
+        status, body = request_json(f"{server.url}/query")
         assert status == 400 and "series" in body["error"]
         for params in (
             {"series": "bad{selector"},
@@ -150,21 +137,21 @@ class TestTelemetryEndpoints:
             {"series": "ok_series", "window": "-5"},
             {"series": "ok_series", "fn": "frobnicate"},
         ):
-            status, body = fetch(query_url(server.url, **params))
+            status, body = request_json(query_url(server.url, **params))
             assert status == 400, (params, body)
             assert "error" in body
 
     def test_endpoints_503_without_telemetry(self):
         with CrossbarPool(shards=1, tile_elements=TILE) as pool:
             with build_server(pool) as server:
-                status, body = fetch(
+                status, body = request_json(
                     query_url(server.url, series="anything")
                 )
                 assert status == 503
                 assert "telemetry" in body["error"]
-                status, body = fetch(f"{server.url}/alerts")
+                status, body = request_json(f"{server.url}/alerts")
                 assert status == 503
-                status, stats = fetch(f"{server.url}/stats")
+                status, stats = request_json(f"{server.url}/stats")
                 assert status == 200
                 assert stats["telemetry"] is None
 
@@ -175,6 +162,30 @@ def test_top_once_smoke():
     from repro.cli import main
 
     assert main(["top", "--once"]) == 0
+
+
+def test_top_url_unreachable_is_an_error_not_a_traceback(capsys):
+    from repro.cli import main
+
+    # A port that was just bound and released: nothing listens there.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    url = f"http://127.0.0.1:{port}"
+    assert main(["top", "--url", url, "--once"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: GET {url}/stats -> ")
+
+
+def test_top_url_non_json_server_is_an_error(capsys):
+    from repro.cli import main
+
+    routes = [("GET", re.compile(r"/stats/?$"), lambda _m, _b: (200, "hi"))]
+    with JsonHttpServer(routes) as server:
+        assert main(["top", "--url", server.url, "--once"]) == 1
+    assert capsys.readouterr().out.startswith(
+        f"error: GET {server.url}/stats -> "
+    )
 
 
 # -- the slope-driven fleet on a manual clock ---------------------------------

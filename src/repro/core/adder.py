@@ -19,6 +19,7 @@ Values are bit-accurate uint64 transforms; costs come from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,26 @@ from repro.core.wallace import reduce_to_two
 from repro.errors import ApproximationError, ConfigurationError
 
 __all__ = ["APIMAdder", "AddResult"]
+
+
+@lru_cache(maxsize=None)
+def _add_cost(width: int, relax_bits: int) -> Cost:
+    """Per-element cost of one two-operand add."""
+    return cost_hybrid_final_add(width, relax_bits)
+
+
+@lru_cache(maxsize=None)
+def _add_many_plan(operands: int, width: int, relax_bits: int) -> tuple[int, Cost]:
+    """Final-stage width and per-element cost of one ``operands``-way
+    tree add at ``width``."""
+    stages = reduction_stages(operands)
+    final_width = min(width + max(stages - 1, 0) + 1, 64)
+    cost = Cost()
+    if stages:
+        cost += cost_wallace_reduce(operands, width)
+    return final_width, cost + cost_hybrid_final_add(
+        final_width - 1, min(relax_bits, final_width - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -75,12 +96,19 @@ class APIMAdder:
             )
         av = self._check(a, width, "a")
         bv = self._check(b, width, "b")
+        sums, cost = self._add(av, bv, relax_bits, width)
+        return AddResult(sums=sums, cost=cost)
+
+    def _add(
+        self, av: np.ndarray, bv: np.ndarray, relax_bits: int, width: int
+    ) -> tuple[np.ndarray, Cost]:
+        """:meth:`add` on uint64 operands already known to fit in
+        ``width`` bits, with ``width`` and ``relax_bits`` valid."""
         # Operands are < 2**width so x + y < 2**(width+1); evaluate the
         # approximation over width+1 bits so the carry-out stays exact.
         sums = approximate_final_add(av, bv, width + 1, relax_bits)
-        per_element = cost_hybrid_final_add(width, relax_bits)
-        count = int(np.asarray(av + bv).size)
-        return AddResult(sums=sums, cost=per_element.scaled(count))
+        count = np.broadcast(av, bv).size
+        return sums, _add_cost(width, relax_bits).scaled(count)
 
     def add_many(
         self,
@@ -98,22 +126,27 @@ class APIMAdder:
         if not operands:
             raise ConfigurationError("add_many needs at least one operand")
         arrays = [self._check(op, width, f"operand[{i}]") for i, op in enumerate(operands)]
-        count = int(np.broadcast(*arrays[:32]).size) if len(arrays) > 1 else int(
-            np.asarray(arrays[0]).size
-        )
+        sums, cost = self._add_many(arrays, relax_bits, width)
+        return AddResult(sums=sums, cost=cost)
+
+    def _add_many(
+        self, arrays: Sequence[np.ndarray], relax_bits: int, width: int
+    ) -> tuple[np.ndarray, Cost]:
+        """:meth:`add_many` on a non-empty list of uint64 operands already
+        known to fit in ``width`` bits."""
         if len(arrays) == 1:
-            return AddResult(sums=arrays[0].copy(), cost=Cost())
+            return np.array(arrays[0], dtype=np.uint64), Cost()
+        shape = np.broadcast_shapes(*(np.shape(op) for op in arrays))
+        # The tree's steps update buffers in place, so every operand
+        # takes the common shape.
+        arrays = [
+            op if np.shape(op) == shape else np.broadcast_to(op, shape)
+            for op in arrays
+        ]
         x, y = reduce_to_two(arrays)
-        stages = reduction_stages(len(arrays))
-        final_width = min(width + max(stages - 1, 0) + 1, 64)
+        final_width, cost = _add_many_plan(len(arrays), width, relax_bits)
         sums = approximate_final_add(x, y, final_width, min(relax_bits, final_width))
-        per_element = Cost()
-        if stages:
-            per_element += cost_wallace_reduce(len(arrays), width)
-        per_element += cost_hybrid_final_add(
-            final_width - 1, min(relax_bits, final_width - 1)
-        )
-        return AddResult(sums=sums, cost=per_element.scaled(count))
+        return sums, cost.scaled(int(np.prod(shape)))
 
     # -- internals ---------------------------------------------------------
 

@@ -6,7 +6,10 @@ Workloads (Sobel, FFT, ...) express their inner loops as calls on an
 - performs *signed* fixed-point arithmetic on NumPy ``int64`` arrays by
   lowering to the unsigned bit-accurate models (sign-magnitude datapath for
   multiplication, two's-complement for addition — matching how the OpenCL
-  kernels would be compiled onto APIM's unsigned crossbar primitives);
+  kernels would be compiled onto APIM's unsigned crossbar primitives).
+  Each operand is lowered in one pass with one range check, and the
+  unsigned models' internal entry points take the lowered operands
+  without checking them again;
 - applies the engine's current :class:`~repro.core.approximation.ApproxSpec`
   to every operation (this is the paper's runtime-tunable knob: the
   controller "sets the pre-calculated value of m" per application);
@@ -58,7 +61,7 @@ class APIMEngine:
         self.adder = APIMAdder(self.config)
         self.mul_count = 0
         self.add_count = 0
-        self._sign_limit = np.int64(1 << (self.config.word_bits - 1))
+        self._sign_limit = np.uint64(1 << (self.config.word_bits - 1))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -88,13 +91,17 @@ class APIMEngine:
         mechanisms therefore act on magnitude bits, as in the hardware.
         """
         spec = self.spec if spec is None else spec
-        av, a_sign = self._to_magnitude(a, "a")
-        bv, b_sign = self._to_magnitude(b, "b")
-        result = self.multiplier.multiply(av, bv, spec)
-        self.ledger.charge("multiply", result.cost)
-        self.mul_count += int(np.asarray(result.products).size)
-        signs = a_sign * b_sign
-        return (result.products.astype(np.int64)) * signs
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        av = self._to_magnitude(a, "a")
+        bv = self._to_magnitude(b, "b")
+        products, cost = self.multiplier._multiply(av, bv, spec)
+        self.ledger.charge("multiply", cost)
+        self.mul_count += int(np.size(products))
+        # s is -1 where the operand signs differ, else 0: (p ^ s) - s
+        # negates exactly those products.
+        s = (a ^ b) >> np.int64(63)
+        return (products.view(np.int64) ^ s) - s
 
     def add(
         self,
@@ -116,10 +123,10 @@ class APIMEngine:
         relax = min(spec.relax_bits, width)
         au = self._to_twos_complement(a, width, "a")
         bu = self._to_twos_complement(b, width, "b")
-        result = self.adder.add(au, bu, relax_bits=relax, width=width)
-        self.ledger.charge("add", result.cost)
-        self.add_count += int(np.asarray(result.sums).size)
-        return self._from_twos_complement(result.sums, width)
+        sums, cost = self.adder._add(au, bu, relax, width)
+        self.ledger.charge("add", cost)
+        self.add_count += int(np.size(sums))
+        return self._from_twos_complement(sums, width)
 
     def sub(
         self,
@@ -148,10 +155,10 @@ class APIMEngine:
         relax = min(spec.relax_bits, width)
         lowered = [self._to_twos_complement(op, width, f"operand[{i}]")
                    for i, op in enumerate(operands)]
-        result = self.adder.add_many(lowered, relax_bits=relax, width=width)
-        self.ledger.charge("add", result.cost)
-        self.add_count += int(np.asarray(result.sums).size) * (len(operands) - 1)
-        return self._from_twos_complement(result.sums, width)
+        sums, cost = self.adder._add_many(lowered, relax, width)
+        self.ledger.charge("add", cost)
+        self.add_count += int(np.size(sums)) * (len(operands) - 1)
+        return self._from_twos_complement(sums, width)
 
     def shift_right(self, values: np.ndarray | int, shift: int) -> np.ndarray:
         """Arithmetic right shift (fixed-point rescale).
@@ -178,7 +185,7 @@ class APIMEngine:
         array = np.asarray(values, dtype=np.int64)
         if shift:
             limit = np.int64(1) << np.int64(61 - shift)
-            if np.any(np.abs(array) >= limit):
+            if array.size and (array.max() >= limit or array.min() <= -limit):
                 raise ConfigurationError(
                     f"shift_left by {shift} overflows the accumulator range"
                 )
@@ -200,37 +207,33 @@ class APIMEngine:
 
     # -- lowering helpers ------------------------------------------------------
 
-    def _to_magnitude(
-        self, values: np.ndarray | int, name: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        array = np.asarray(values, dtype=np.int64)
-        if np.any(np.abs(array) >= self._sign_limit):
+    def _to_magnitude(self, array: np.ndarray, name: str) -> np.ndarray:
+        """``|array|`` as uint64, after one range pass over it."""
+        magnitudes = np.abs(array).view(np.uint64)
+        # As uint64, |INT64_MIN| reads 2**63 and is caught too.
+        if np.max(magnitudes, initial=0) >= self._sign_limit:
             raise ConfigurationError(
                 f"{name} magnitude exceeds the signed "
                 f"{self.config.word_bits}-bit range"
             )
-        signs = np.where(array < 0, np.int64(-1), np.int64(1))
-        return np.abs(array).astype(np.uint64), signs
+        return magnitudes
 
     @staticmethod
     def _to_twos_complement(
         values: np.ndarray | int, width: int, name: str
     ) -> np.ndarray:
         array = np.asarray(values, dtype=np.int64)
-        limit = np.int64(1) << np.int64(width - 1)
-        if np.any(array >= limit) or np.any(array < -limit):
+        limit = 1 << (width - 1)
+        if array.size and (array.max() >= limit or array.min() < -limit):
             raise ConfigurationError(
                 f"{name} exceeds the signed {width}-bit range"
             )
-        modulus = np.uint64(1) << np.uint64(width)
-        return array.astype(np.uint64) & (modulus - np.uint64(1))
+        return array.view(np.uint64) & np.uint64((1 << width) - 1)
 
     @staticmethod
     def _from_twos_complement(values: np.ndarray, width: int) -> np.ndarray:
-        # The adder returns width+1 bits (carry-out); interpret the low
-        # `width` bits as two's complement.
-        modulus = np.uint64(1) << np.uint64(width)
-        low = np.asarray(values, dtype=np.uint64) & (modulus - np.uint64(1))
-        signed = low.astype(np.int64)
-        half = np.int64(1) << np.int64(width - 1)
-        return np.where(signed >= half, signed - np.int64(2) * half, signed)
+        # The adder returns width+1 bits (carry-out); shifting bit
+        # width-1 up to the sign bit and back sign-extends the low
+        # ``width`` bits as two's complement.
+        spare = np.int64(64 - width)
+        return (values.view(np.int64) << spare) >> spare

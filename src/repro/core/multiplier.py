@@ -113,10 +113,19 @@ class APIMMultiplier:
         Returns products as ``uint64`` and the summed :class:`Cost` over all
         elements.  Operands must fit in ``word_bits``.
         """
-        n = self.config.word_bits
-        spec.validate_for(n)
+        spec.validate_for(self.config.word_bits)
         av = self._check_operands(a, "multiplicand")
         bv = self._check_operands(b, "multiplier")
+        products, cost = self._multiply(av, bv, spec)
+        return MultiplyResult(products=products, cost=cost)
+
+    def _multiply(
+        self, av: np.ndarray, bv: np.ndarray, spec: ApproxSpec
+    ) -> tuple[np.ndarray, Cost]:
+        """:meth:`multiply` on uint64 operands already known to fit in
+        ``word_bits`` (the engine's lowering has range-checked them)."""
+        n = self.config.word_bits
+        spec.validate_for(n)
         b_eff = mask_multiplier(bv, spec.masked_bits, n)
         counts = popcount(b_eff)
         exact = av * b_eff
@@ -134,8 +143,7 @@ class APIMMultiplier:
             trivial = counts <= 1
             if np.any(trivial):
                 products = np.where(trivial, exact, products)
-        cost = self._array_cost(counts, relax)
-        return MultiplyResult(products=products, cost=cost)
+        return products, self._array_cost(counts, relax)
 
     def multiply_scalar(
         self, a: int, b: int, spec: ApproxSpec = EXACT

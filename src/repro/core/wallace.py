@@ -27,7 +27,11 @@ carry-save operation is bitwise or a *left* shift, so bit ``j`` of a
 survivor depends only on bits ``<= j`` of the partial-product rows, and
 row ``i`` (the multiplicand shifted left by ``i``) is zero below bit
 ``i``.  :func:`reduce_partial_products_low` therefore builds only rows
-``i < bits``, treats the rest as known zeros, and runs the same grouping
+``i < bits``, and of those only rows whose multiplier bit is set in some
+element: the others are zero in every element (the array form of paper
+Section 3.3's "we only generate a partial product when the multiplier
+bits are 1").  Missing rows are known zeros, and a zero operand of a 3:2
+group gives exactly what leaving it out does.  It runs the same grouping
 as :func:`reduce_to_two` on the narrowest unsigned dtype holding ``bits``
 bits: a group of three live operands is a full 3:2 step, two live operands
 a half adder, one passes through.  Its survivors equal the full tree's in
@@ -101,17 +105,30 @@ def _carry_save_tree(operands: list) -> list:
     """
     while len(operands) > 2:
         nxt: list = []
-        for i in range(0, len(operands) - 2, 3):
-            live = [op for op in operands[i : i + 3] if op is not None]
-            if len(live) == 3:
-                nxt.extend(csa_step(*live))
-            elif len(live) == 2:
-                p, q = live
+        groups = len(operands) // 3
+        last = max(
+            (i for i, op in enumerate(operands) if op is not None), default=-1
+        )
+        # Groups past the last live operand reduce to two known zeros.
+        live_groups = min(groups, last // 3 + 1)
+        for i in range(0, 3 * live_groups, 3):
+            p, q, r = operands[i : i + 3]
+            # Move the live operands to the front, in order.
+            if p is None:
+                p, q, r = q, r, p
+            if p is None:
+                p, q, r = q, r, p
+            if q is None:
+                q, r = r, q
+            if r is not None:
+                nxt.extend(csa_step(p, q, r))
+            elif q is not None:
                 carry = p & q
                 carry <<= 1
                 nxt.extend((p ^ q, carry))
             else:
-                nxt.extend((live[0] if live else None, None))
+                nxt.extend((p, None))
+        nxt.extend([None] * (2 * (groups - live_groups)))
         remainder = len(operands) % 3
         if remainder:
             nxt.extend(operands[-remainder:])
@@ -173,13 +190,18 @@ def reduce_partial_products_low(
     # Integer casts wrap, keeping exactly the low bits of the lane.
     av = np.asarray(a, dtype=np.uint64).astype(dtype)
     bv = np.asarray(b, dtype=np.uint64).astype(dtype)
-    live = min(word_bits, bits)
-    # All live rows in one broadcast: row i is (a << i) * bit_i(b).
-    ndim = max(av.ndim, bv.ndim)
-    shifts = np.arange(live, dtype=dtype).reshape((live,) + (1,) * ndim)
-    rows = (av << shifts) * ((bv >> shifts) & dtype(1))
-    operands = _carry_save_tree(list(rows) + [None] * (word_bits - live))
-    zero = np.zeros(rows.shape[1:], dtype=dtype)
+    # Row i is (a << i) * bit_i(b): all zero unless some element of b
+    # has bit i set, so only those rows are built; the rest, and every
+    # row from ``bits`` up, are known zeros.
+    used = int(np.bitwise_or.reduce(bv, axis=None))
+    one = dtype(1)
+    operands: list = [None] * word_bits
+    for i in range(min(word_bits, bits)):
+        if used >> i & 1:
+            shift = dtype(i)
+            operands[i] = (av << shift) * ((bv >> shift) & one)
+    operands = _carry_save_tree(operands)
+    zero = np.zeros(np.broadcast_shapes(av.shape, bv.shape), dtype=dtype)
     x = operands[0]
     y = operands[1] if len(operands) > 1 else None
     return (zero if x is None else x), (zero if y is None else y)

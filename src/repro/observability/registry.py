@@ -339,17 +339,36 @@ class MetricsRegistry:
             )
         return existing
 
+    def _get_or_create(
+        self, name: str, signature: tuple, build: Callable[[], _Family]
+    ) -> _Family:
+        """The family registered under ``name`` when its signature
+        matches; otherwise ``build()`` one and register it, which also
+        raises the conflict error for a mismatched signature."""
+        existing = self._families.get(name)
+        if existing is not None and existing.signature() == signature:
+            return existing
+        return self._register(build())
+
     def counter(
         self, name: str, help: str = "", labelnames: Iterable[str] = ()
     ) -> Counter:
         """Get-or-create a counter family (idempotent)."""
-        return self._register(Counter(name, help, tuple(labelnames)))
+        labelnames = tuple(labelnames)
+        return self._get_or_create(
+            name, (Counter.kind, labelnames),
+            lambda: Counter(name, help, labelnames),
+        )
 
     def gauge(
         self, name: str, help: str = "", labelnames: Iterable[str] = ()
     ) -> Gauge:
         """Get-or-create a gauge family (idempotent)."""
-        return self._register(Gauge(name, help, tuple(labelnames)))
+        labelnames = tuple(labelnames)
+        return self._get_or_create(
+            name, (Gauge.kind, labelnames),
+            lambda: Gauge(name, help, labelnames),
+        )
 
     def histogram(
         self,
@@ -359,8 +378,10 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
         """Get-or-create a histogram family (idempotent)."""
-        return self._register(
-            Histogram(name, help, tuple(labelnames), tuple(buckets))
+        labelnames, buckets = tuple(labelnames), tuple(buckets)
+        return self._get_or_create(
+            name, (Histogram.kind, labelnames, buckets),
+            lambda: Histogram(name, help, labelnames, buckets),
         )
 
     def get(self, name: str) -> _Family | None:

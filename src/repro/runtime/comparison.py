@@ -11,7 +11,11 @@ A tile's result is a pure function of the configuration, the workload,
 the approximation spec, the tile size and the RNG seed, so one
 process-wide single-flight memo (:data:`TILE_MEMO`) prices each tile once
 for every harness: the shards of a pool, built alike, share their tiles,
-and concurrent cold misses on one key run the executor once.
+and concurrent cold misses on one key run the executor once.  A tile's
+generated input and its exact reference output do not depend on the
+approximation spec either, so :data:`TILE_INPUTS` computes them once for
+every relax level.  Its arrays are read-only, so a kernel that writes
+into its inputs fails loudly instead of corrupting the next level's.
 """
 
 from __future__ import annotations
@@ -27,12 +31,30 @@ from repro.core.config import APIMConfig, default_config
 from repro.errors import ConfigurationError
 from repro.memo import SingleFlightMemo
 from repro.runtime.executor import APIMExecutor, ExecutionResult
+from repro.workloads.base import WorkloadData
 
-__all__ = ["ComparisonHarness", "ComparisonResult", "TILE_MEMO"]
+__all__ = ["ComparisonHarness", "ComparisonResult", "TILE_INPUTS", "TILE_MEMO"]
 
 #: APIM tile results by (config, workload class, spec, tile elements,
 #: RNG seed), shared by every harness in the process.
 TILE_MEMO: SingleFlightMemo[ExecutionResult] = SingleFlightMemo()
+
+#: Read-only tile inputs and exact reference outputs by (workload class,
+#: tile elements, RNG seed), shared by every spec of that tile.
+TILE_INPUTS: SingleFlightMemo[tuple[WorkloadData, np.ndarray]] = (
+    SingleFlightMemo()
+)
+
+
+def _tile_inputs(
+    workload, elements: int, seed: int
+) -> tuple[WorkloadData, np.ndarray]:
+    """A tile's generated input and exact output, frozen read-only."""
+    data = workload.generate(elements, np.random.default_rng(seed))
+    reference = np.asarray(workload.reference(data))
+    for array in (*data.arrays.values(), reference):
+        array.flags.writeable = False
+    return data, reference
 
 
 @dataclass(frozen=True)
@@ -92,19 +114,22 @@ class ComparisonHarness:
     # -- APIM side ----------------------------------------------------------
 
     def _tile_result(self, workload, spec: ApproxSpec) -> ExecutionResult:
+        def run() -> ExecutionResult:
+            data, reference = TILE_INPUTS.get(
+                (type(workload), self.tile_elements, self.rng_seed),
+                lambda: _tile_inputs(
+                    workload, self.tile_elements, self.rng_seed
+                ),
+            )
+            return self.executor.run(
+                workload, spec=spec, data=data, reference=reference
+            )
+
         key = (
             self.config, type(workload), spec, self.tile_elements,
             self.rng_seed,
         )
-        return TILE_MEMO.get(
-            key,
-            lambda: self.executor.run(
-                workload,
-                spec=spec,
-                elements=self.tile_elements,
-                rng=np.random.default_rng(self.rng_seed),
-            ),
-        )
+        return TILE_MEMO.get(key, run)
 
     def apim_estimate(
         self, workload, dataset_bytes: float, spec: ApproxSpec = EXACT

@@ -92,12 +92,15 @@ class APIMExecutor:
         rng: np.random.Generator | None = None,
         data: WorkloadData | None = None,
         resilience: "ResilienceContext | None" = None,
+        reference: np.ndarray | None = None,
     ) -> ExecutionResult:
         """Execute ``workload`` at approximation ``spec``.
 
         Either pass pre-generated ``data`` (so several specs score against
         identical inputs, as the tuner does) or let the executor generate
-        ``elements`` elements with ``rng``.
+        ``elements`` elements with ``rng``.  With ``data``, its exact
+        ``reference`` output may be passed too, so several specs share
+        it instead of each computing it.
 
         With a ``resilience`` context the kernel runs on a fault-aware
         engine bound to that context's (possibly faulty) fabric: outputs
@@ -121,7 +124,8 @@ class APIMExecutor:
         try:
             with span("executor.kernel", workload=workload.name):
                 output = workload.run(engine, data)
-            reference = workload.reference(data)
+            if reference is None:
+                reference = workload.reference(data)
         except ReproError as exc:
             trace_event(
                 "executor", "kernel_error", f"{type(exc).__name__}: {exc}",

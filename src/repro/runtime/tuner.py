@@ -97,12 +97,14 @@ class AdaptiveTuner:
         data = workload.generate(
             elements or workload.default_elements, rng
         )
+        reference = workload.reference(data)
         trials: list[TuningTrial] = []
         # The shared ladder (qos.relax_ladder) always terminates at m = 0,
         # so exact mode is evaluated even when max is not a step multiple.
         for m in relax_ladder(self.max_relax_bits, self.step):
             result: ExecutionResult = self.executor.run(
-                workload, spec=ApproxSpec.last_stage(m), data=data
+                workload, spec=ApproxSpec.last_stage(m), data=data,
+                reference=reference,
             )
             trials.append(
                 TuningTrial(

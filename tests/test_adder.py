@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.adder import APIMAdder
+from repro.core.approximation import ApproxSpec
 from repro.core.config import APIMConfig
+from repro.core.engine import APIMEngine
 from repro.core.timing import (
     cost_hybrid_final_add,
     cost_wallace_reduce,
@@ -64,6 +66,19 @@ class TestTwoOperandAdd:
                 == cost_hybrid_final_add(32, m).cycles * 100
             )
 
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_scalar_plus_array_counts_every_element(self, adder, rng, m):
+        values = rng.integers(0, 1 << 20, (3, 5), dtype=np.uint64)
+        expected = cost_hybrid_final_add(32, m).scaled(values.size)
+        for a, b in ((7, values), (values, np.uint64(7)), (values[:1], values)):
+            result = adder.add(a, b, relax_bits=m)
+            assert result.sums.shape == values.shape
+            assert result.cost == expected
+        engine = APIMEngine(spec=ApproxSpec.last_stage(m))
+        engine.add(5, values.astype(np.int64))
+        assert engine.add_count == values.size
+        assert engine.ledger.entry("add") == expected
+
     def test_rejects_oversized_operand(self, adder):
         with pytest.raises(ConfigurationError):
             adder.add(np.uint64(1 << 33), np.uint64(0))
@@ -89,6 +104,17 @@ class TestMultiOperandAdd:
         for op in operands[1:]:
             expected = expected + op
         assert np.array_equal(result.sums, expected)
+
+    def test_broadcast_operands_take_the_common_shape(self, adder, rng):
+        # The widest operand comes last, after a group whose in-place
+        # carry-save step must already hold the full shape.
+        grid = rng.integers(0, 1 << 20, (4, 6), dtype=np.uint64)
+        operands = [np.uint64(3), grid[:1], grid, grid[:, :1]]
+        result = adder.add_many(operands, width=32)
+        assert np.array_equal(result.sums, 3 + grid[:1] + grid + grid[:, :1])
+        assert result.cost == adder.add_many(
+            [np.broadcast_to(op, grid.shape) for op in operands], width=32
+        ).cost
 
     def test_single_operand_passthrough(self, adder):
         values = np.array([4, 5, 6], dtype=np.uint64)

@@ -121,6 +121,28 @@ class TestRegistry:
         with pytest.raises(ObservabilityError):
             registry.histogram("repro_h", "", buckets=(1.0, 3.0))
 
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_repeat_lookup_builds_no_family(self, registry, monkeypatch, kind):
+        family = getattr(registry, kind)("repro_hit", "", ("op",))
+
+        def build(*args, **kwargs):
+            raise AssertionError("a registered family was rebuilt")
+
+        family_class = type(family)
+        monkeypatch.setattr(family_class, "__init__", build)
+        assert getattr(registry, kind)("repro_hit", "again", ("op",)) is family
+        assert getattr(registry, kind)("repro_hit", "", ["op"]) is family
+        if kind == "histogram":
+            equal = list(family.buckets)
+            assert registry.histogram("repro_hit", "", ("op",), equal) is family
+        monkeypatch.undo()
+        # A conflicting signature still builds, and is refused.
+        with pytest.raises(ObservabilityError, match="already registered"):
+            getattr(registry, kind)("repro_hit", "", ("workload",))
+        if kind == "histogram":
+            with pytest.raises(ObservabilityError, match="already registered"):
+                registry.histogram("repro_hit", "", ("op",), (1.0, 2.0))
+
     def test_invalid_names_rejected(self, registry):
         with pytest.raises(ObservabilityError):
             registry.counter("7bad", "")

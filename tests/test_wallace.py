@@ -175,6 +175,22 @@ class TestReducePartialProductsLow:
         assert np.array_equal(x.astype(np.uint64) & mask, xf & mask)
         assert np.array_equal(y.astype(np.uint64) & mask, yf & mask)
 
+    @pytest.mark.parametrize("bits", [3, 9, 17, 64])
+    def test_sparse_multipliers_skip_zero_rows_exactly(self, rng, bits):
+        # Multiplier bits unset in every element build no row; the
+        # survivors still equal the full tree's, which groups zero rows.
+        a = rng.integers(0, 1 << 32, (40, 7), dtype=np.uint64)
+        weight = np.broadcast_to(np.uint64(0b1001101), a.shape)
+        gapped = rng.integers(0, 1 << 32, a.shape, dtype=np.uint64)
+        gapped &= np.uint64(0xF0F0_0F0F)
+        mask = np.uint64((1 << bits) - 1) if bits < 64 else ~np.uint64(0)
+        for b in (weight, gapped, np.zeros_like(a)):
+            x, y = reduce_partial_products_low(a, b, 32, bits)
+            xf, yf = reduce_partial_products_vectorised(a, b, 32)
+            assert x.shape == y.shape == a.shape
+            assert np.array_equal(x.astype(np.uint64) & mask, xf & mask)
+            assert np.array_equal(y.astype(np.uint64) & mask, yf & mask)
+
     def test_scalar_operands(self):
         x, y = reduce_partial_products_low(np.uint64(0xAB), np.uint64(0xCD), 8, 5)
         xf, yf = reduce_partial_products_vectorised(

@@ -22,9 +22,9 @@ Commands:
   autoscaler policy come from a DSE-selected fleet config;
   with ``--telemetry`` the streaming telemetry pipeline samples the
   registry and tail quantiles behind ``GET /query`` / ``GET /alerts``.
-- ``top`` — the fleet dashboard: shards, per-tenant request rates, tail
-  quantiles and firing alerts, either polling a live server (``--url``)
-  or from a self-contained in-process demo (``--once`` for one frame).
+- ``top --url URL`` — the fleet dashboard: shards, per-tenant request
+  rates, tail quantiles and firing alerts, polled from a live server
+  (``--once`` for one frame).
 - ``fleet`` — the fleet control plane: run the offline design-space
   exploration (sweep block geometry x interconnect x shard count, fold
   into a cost-latency Pareto frontier, write the
@@ -252,17 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "top",
         help="fleet dashboard: shards, tenant rates, tail quantiles and "
-        "firing alerts, from a live server or an in-process demo",
+        "firing alerts, polled from a live server",
     )
     p.add_argument(
-        "--url", default=None, metavar="URL",
-        help="poll a live `repro serve --telemetry` endpoint "
-        "(default: boot an in-process demo pool with injected slow "
-        "traffic)",
+        "--url", required=True, metavar="URL",
+        help="the live `repro serve` endpoint to poll (alerts and process "
+        "gauges need `--telemetry`)",
     )
     p.add_argument(
         "--once", action="store_true",
-        help="render a single frame and exit (the CI smoke)",
+        help="render a single frame and exit",
     )
     p.add_argument(
         "--frames", type=int, default=None,
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", type=float, default=2.0,
         help="seconds between refreshes",
     )
-    p.add_argument("--seed", type=int, default=2017)
 
     p = sub.add_parser(
         "fleet",
@@ -916,17 +914,6 @@ def _render_top(stats: dict, alerts: dict | None, process: dict) -> str:
     return "\n".join(lines)
 
 
-def _top_process_values(pipeline) -> dict:
-    """Newest ``repro_process_*`` samples out of a local pipeline."""
-    process = {}
-    for key in pipeline.store.keys():
-        if key.startswith("repro_process_"):
-            latest = pipeline.store.get(key).latest()
-            if latest is not None:
-                process[key] = latest[1]
-    return process
-
-
 def _top_get(url: str) -> tuple[int, object]:
     """``GET url`` as JSON; an unreachable or non-JSON server becomes a
     :class:`ServingError` naming the URL instead of a urllib traceback."""
@@ -939,88 +926,43 @@ def _top_get(url: str) -> tuple[int, object]:
         raise ServingError(f"GET {url} -> {reason}") from exc
 
 
-def _top_url(base: str, frames: int | None, interval: float) -> int:
-    """Poll a live server's ``/stats``, ``/alerts`` and ``/query``."""
-    rendered = 0
-    while frames is None or rendered < frames:
-        if rendered:
-            time.sleep(interval)
-        status, stats = _top_get(f"{base}/stats")
-        if status != 200:
-            print(f"error: GET {base}/stats -> {status} {stats}")
-            return 1
-        status, alerts = _top_get(f"{base}/alerts")
-        if status != 200:
-            alerts = None  # telemetry not enabled on that server
-        process = {}
-        if (stats.get("telemetry") or {}).get("ticks"):
-            for name in (
-                "repro_process_rss_bytes",
-                "repro_process_cpu_user_seconds",
-                "repro_process_cpu_system_seconds",
-                "repro_process_threads",
-                "repro_process_open_fds",
-            ):
-                status, payload = _top_get(
-                    f"{base}/query?series={name}&fn=value"
-                )
-                if status == 200 and payload.get("series"):
-                    derived = payload["series"][0].get("derived") or {}
-                    if derived.get("value") is not None:
-                        process[name] = derived["value"]
-        print(_render_top(stats, alerts, process))
-        rendered += 1
-    return 0
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
-    """The fleet dashboard (one-shot, polling, or live-URL mode)."""
+    """The fleet dashboard: poll a live server's ``/stats``, ``/alerts``
+    and ``/query`` (one frame with ``--once``)."""
+    base = args.url.rstrip("/")
     frames = 1 if args.once else args.frames
-
-    if args.url is not None:
-        try:
-            return _top_url(args.url.rstrip("/"), frames, args.interval)
-        except ServingError as exc:
-            print(f"error: {exc}")
-            return 1
-
-    # In-process demo: a real pool with telemetry attached, driven by a
-    # short burst per frame.  Slow traffic is injected straight into the
-    # latency analytics so the p99 alert demonstrably fires.
-    from repro.observability.timeseries import TelemetryPipeline
-    from repro.serving.pool import Client, CrossbarPool
-
-    pool = CrossbarPool(shards=2, tile_elements=1 << 9, seed=args.seed)
-    pipeline = TelemetryPipeline.for_pool(pool, interval_s=0.05)
-    for rule in _default_telemetry_rules(pool, pipeline.interval_s):
-        pipeline.add_rule(rule)
-    target = pool.slo.policy.latency_target_s
-    with pool:
-        client = Client(pool, tenant="demo")
-        rendered = 0
+    rendered = 0
+    try:
         while frames is None or rendered < frames:
             if rendered:
                 time.sleep(args.interval)
-            for workload in ("Sobel", "Robert"):
-                client.call(workload, relax_bits=8, dataset_bytes=1 << 20)
-            # The injected slow traffic: e2e observations far past the
-            # SLO target, so /alerts shows a real firing rule.
-            for _ in range(4):
-                pool.latency.observe("e2e", 2.0 * target)
-            for _ in range(4):
-                pipeline.tick()
-                time.sleep(pipeline.interval_s)
-            print(
-                _render_top(
-                    pool.stats(),
-                    pipeline.alerts(),
-                    _top_process_values(pipeline),
-                )
-            )
+            status, stats = _top_get(f"{base}/stats")
+            if status != 200:
+                print(f"error: GET {base}/stats -> {status} {stats}")
+                return 1
+            status, alerts = _top_get(f"{base}/alerts")
+            if status != 200:
+                alerts = None  # telemetry not enabled on that server
+            process = {}
+            if (stats.get("telemetry") or {}).get("ticks"):
+                for name in (
+                    "repro_process_rss_bytes",
+                    "repro_process_cpu_user_seconds",
+                    "repro_process_cpu_system_seconds",
+                    "repro_process_threads",
+                    "repro_process_open_fds",
+                ):
+                    status, payload = _top_get(
+                        f"{base}/query?series={name}&fn=value"
+                    )
+                    if status == 200 and payload.get("series"):
+                        derived = payload["series"][0].get("derived") or {}
+                        if derived.get("value") is not None:
+                            process[name] = derived["value"]
+            print(_render_top(stats, alerts, process))
             rendered += 1
-    firing = pipeline.alerts()["firing"]
-    if args.once and "e2e_p99_above_target" not in firing:
-        print("TOP SMOKE FAIL: injected slow traffic fired no alert")
+    except ServingError as exc:
+        print(f"error: {exc}")
         return 1
     return 0
 

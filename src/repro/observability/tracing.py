@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -104,10 +103,10 @@ class TraceStore:
     """Bounded trace storage with LRU eviction and JSONL spill.
 
     ``capacity`` bounds resident traces; the oldest is evicted first and,
-    when ``spill_path`` is set, appended to that file as one JSON line
-    (the same tolerant-reader shape as the checkpoint journal and the
-    metrics snapshot sink).  ``max_events`` bounds each trace's event
-    list.  The clock is injectable for deterministic tests.
+    when ``spill_path`` is set, appended to that file as one
+    ``"type": "trace"`` record through the same fsync'd record log the
+    checkpoint and request journals use.  ``max_events`` bounds each
+    trace's event list.  The clock is injectable for deterministic tests.
     """
 
     def __init__(
@@ -139,10 +138,9 @@ class TraceStore:
         # trace id -> its aliases, so eviction drops them in O(aliases).
         self._aliases_of: dict[str, set[str]] = {}
         self._lock = threading.Lock()
-        # Spill I/O gets its own lock so readers of the in-memory store
-        # are never blocked behind an fsync; acquisition order is always
-        # store lock (if held at all) before spill lock.
-        self._spill_lock = threading.Lock()
+        # Opened on first spill; appends run outside the store lock, so
+        # no reader or writer of the in-memory store waits on an fsync.
+        self._spill_log = None
         self.evicted = 0
         self.spilled = 0
 
@@ -153,6 +151,7 @@ class TraceStore:
 
     def new_trace(self, **baggage) -> "TraceContext":
         """Open a trace; returns its root :class:`TraceContext`."""
+        evicted = []
         with self._lock:
             trace_id = f"{self._id_prefix}-{next(self._seq):08x}"
             record = TraceRecord(
@@ -162,11 +161,13 @@ class TraceStore:
             )
             self._records[trace_id] = record
             while len(self._records) > self.capacity:
-                evicted_id, evicted = self._records.popitem(last=False)
+                evicted_id, victim = self._records.popitem(last=False)
                 self.evicted += 1
                 for alias in self._aliases_of.pop(evicted_id, ()):
                     del self._aliases[alias]
-                self._spill(evicted)
+                evicted.append(victim)
+        if evicted:
+            self._spill(evicted)
         return TraceContext(
             trace_id=trace_id,
             span_id=self._next_span_id(),
@@ -175,54 +176,57 @@ class TraceStore:
             store=self,
         )
 
-    def _spill(self, record: TraceRecord) -> None:
-        self._spill_batch([record])
+    def _spill(self, records: list[TraceRecord]) -> None:
+        """Append ``records`` to the spill log, one fsync'd line each.
 
-    def _spill_batch(self, records: list[TraceRecord]) -> None:
-        """Append ``records`` to the spill file crash-safely.
-
-        The new content is staged in a temp file alongside the target
-        (prior content + new lines), fsync'd, then moved into place with
-        :func:`os.replace` — atomic on POSIX.  A crash at any byte leaves
-        either the old complete file or the new complete file, never a
-        torn line, so :func:`load_spilled` readers can't observe half a
-        record even if the process dies mid-spill.
+        Called without the store lock held.  The log is a
+        :class:`~repro.runtime.recordlog.RecordLog`: a crash mid-append
+        leaves at most one torn final line, which the log truncates when
+        it is next opened and :func:`load_spilled` skips.
         """
         if self.spill_path is None or not records:
             return
-        payload = "".join(
-            json.dumps(
-                record.to_dict(), separators=(",", ":"), sort_keys=True
+        with self._lock:
+            if self._spill_log is None:
+                self._spill_log = self._open_spill_log()
+            log = self._spill_log
+        for record in records:
+            log.append({"type": "trace", **record.to_dict()})
+        with self._lock:
+            self.spilled += len(records)
+
+    def _open_spill_log(self):
+        """The spill file as a record log, refusing a file whose first
+        record has no ``"type"``: spill files written before records were
+        typed still load with :func:`load_spilled`, but the log's
+        torn-tail recovery would truncate every such record."""
+        from repro.runtime.recordlog import RecordLog
+
+        try:
+            with open(self.spill_path, "rb") as handle:
+                untyped = "type" not in json.loads(handle.readline())
+        except (OSError, TypeError, ValueError):
+            untyped = False  # missing, empty, or garbage recovery drops
+        if untyped:
+            raise TracingError(
+                f"spill file {self.spill_path!r} holds untyped records; "
+                "read it with load_spilled and spill to a new path"
             )
-            + "\n"
-            for record in records
-        )
-        tmp_path = f"{self.spill_path}.tmp.{os.getpid()}"
-        with self._spill_lock:
-            try:
-                try:
-                    with open(self.spill_path, "rb") as existing:
-                        prior = existing.read()
-                except FileNotFoundError:
-                    prior = b""
-                with open(tmp_path, "wb") as handle:
-                    handle.write(prior)
-                    handle.write(payload.encode("utf-8"))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, self.spill_path)
-                self.spilled += len(records)
-            except OSError as exc:
-                raise TracingError(
-                    f"cannot spill trace to {self.spill_path!r}: {exc}"
-                ) from exc
+        return RecordLog(self.spill_path, resume=True, error_cls=TracingError)
 
     def spill_all(self) -> int:
         """Spill every resident trace (end-of-run flush); returns count."""
         with self._lock:
             records = list(self._records.values())
-        self._spill_batch(records)
+        self._spill(records)
         return len(records)
+
+    def close(self) -> None:
+        """Close the spill log (idempotent; a later spill reopens it)."""
+        with self._lock:
+            log, self._spill_log = self._spill_log, None
+        if log is not None:
+            log.close()
 
     # -- writes ---------------------------------------------------------------
 

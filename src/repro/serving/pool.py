@@ -16,8 +16,9 @@ Shard health is a per-shard :class:`CircuitBreaker`: requests that end
 ``failed``/``error`` count as consecutive failures, and a tripped shard
 stops pulling work — the pull model reroutes traffic to healthy shards
 with no routing table.  Requests already held by a sick shard are pushed
-back to the *front* of the queue (bounded by ``max_reroutes``, after
-which the request executes anyway and lets the rescue ladder finish it).
+back to the *front* of the queue (at most once per other live shard,
+after which the request executes anyway and lets the rescue ladder
+finish it).
 Mid-cooldown the breaker half-opens and the shard probes its way back.
 
 *How* shards execute is pluggable: the pool owns serving
@@ -41,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,10 +73,8 @@ from repro.observability.instruments import (
 from repro.observability.sketch import LatencyAnalytics
 from repro.observability.slo import BurnRateEvaluator, SLOPolicy
 from repro.observability.tracing import TraceStore, use_trace
-from repro.quality.qos import QoSPolicy
 from repro.runtime.campaign import run_point
-from repro.runtime.comparison import ComparisonHarness
-from repro.runtime.supervisor import CircuitBreaker, RetryPolicy, Supervisor
+from repro.runtime.supervisor import CircuitBreaker
 from repro.serving.journal import (
     RequestJournal,
     payload_fingerprint,
@@ -84,6 +82,7 @@ from repro.serving.journal import (
 )
 from repro.search import SearchIndex, default_search_index, recall_at_k
 from repro.serving.runtime import ShardRuntime, resolve_runtime
+from repro.serving.runtime.shard import ShardRecipe, ShardUnit
 from repro.serving.scheduler import (
     BatchingScheduler,
     ResultStore,
@@ -102,37 +101,26 @@ __all__ = ["Client", "CrossbarPool", "PoolShard", "SEARCH_WORKLOAD"]
 SEARCH_WORKLOAD = "Similarity"
 
 
-@dataclass
-class PoolShard:
-    """One shard: a private harness, supervisor and health breaker."""
+class PoolShard(ShardUnit):
+    """One shard: the shared pricing unit plus its health breaker and
+    serving counters."""
 
-    index: int
-    harness: ComparisonHarness
-    supervisor: Supervisor
-    breaker: CircuitBreaker
-    chaos: object | None = None
-    served: int = 0
-    failures: int = 0
-    busy_s: float = 0.0
-    #: Requests this shard currently holds (dispatched, not yet
-    #: terminal).  Only the shard's own driver mutates it; the fleet
-    #: autoscaler reads it so shrink never selects a working shard.
-    in_flight: int = 0
-    _workloads: dict = field(default_factory=dict)
-
-    @property
-    def key(self) -> str:
-        return f"shard{self.index}"
+    def __init__(
+        self, index: int, recipe: ShardRecipe, breaker: CircuitBreaker
+    ) -> None:
+        super().__init__(index, recipe)
+        self.breaker = breaker
+        self.served = 0
+        self.failures = 0
+        self.busy_s = 0.0
+        #: Requests this shard currently holds (dispatched, not yet
+        #: terminal).  Only the shard's own driver mutates it; the fleet
+        #: autoscaler reads it so shrink never selects a working shard.
+        self.in_flight = 0
 
     @property
     def healthy(self) -> bool:
         return not self.breaker.is_open(self.key)
-
-    def workload(self, name: str):
-        instance = self._workloads.get(name)
-        if instance is None:
-            instance = self._workloads[name] = workload_by_name(name)
-        return instance
 
 
 class CrossbarPool:
@@ -145,33 +133,22 @@ class CrossbarPool:
         apim_config: APIMConfig | None = None,
         tile_elements: int = 1 << 10,
         seed: int = 2017,
-        retry: RetryPolicy | None = None,
-        deadline_s: float | None = None,
-        qos: QoSPolicy | None = None,
-        max_relax_bits: int = 32,
-        degradation_step: int = 4,
         chaos_policy=None,
         shard_failure_threshold: int = 3,
         shard_cooldown_s: float = 0.25,
-        max_reroutes: int | None = None,
-        idle_poll_s: float = 0.02,
         scheduler: BatchingScheduler | None = None,
-        results: ResultStore | None = None,
         trace_store: TraceStore | None = None,
         slo_policy: SLOPolicy | None = None,
         runtime: "str | ShardRuntime" = "thread",
         journal: "RequestJournal | str | None" = None,
         result_capacity: int = 8192,
         result_ttl_s: float | None = None,
-        search_index: "SearchIndex | None" = None,
     ) -> None:
         if shards < 1:
             raise ServingError("pool needs at least one shard")
         self.serving_config = serving_config or ServingConfig()
         self.scheduler = scheduler or BatchingScheduler(self.serving_config)
-        self.results = results or ResultStore(
-            capacity=result_capacity, ttl_s=result_ttl_s
-        )
+        self.results = ResultStore(capacity=result_capacity, ttl_s=result_ttl_s)
         # Explicit None test: an empty TraceStore is falsy (len 0), and
         # ``or`` would silently discard a caller-provided store.
         self.traces = trace_store if trace_store is not None else TraceStore()
@@ -181,21 +158,17 @@ class CrossbarPool:
         self.slo = BurnRateEvaluator(
             slo_policy or SLOPolicy(), clock=self.scheduler.clock
         )
-        self.qos = qos or QoSPolicy()
-        self.max_relax_bits = max_relax_bits
-        self.degradation_step = degradation_step
-        self.max_reroutes = (
-            max_reroutes if max_reroutes is not None else max(1, shards - 1)
-        )
-        self.idle_poll_s = idle_poll_s
-        # Construction inputs, kept verbatim: the subprocess runtime
-        # stages each worker's environment from these.
         self.apim_config = apim_config
         self.tile_elements = tile_elements
         self.seed = seed
-        self._retry = retry
-        self._deadline_s = deadline_s
-        self._chaos_policy = chaos_policy
+        # Every shard — at boot, added live, or inside a subprocess
+        # worker — is built from this one recipe.
+        self.recipe = ShardRecipe(
+            seed=seed,
+            tile_elements=tile_elements,
+            apim_config=apim_config,
+            chaos_policy=chaos_policy,
+        )
         self._shard_failure_threshold = shard_failure_threshold
         self._shard_cooldown_s = shard_cooldown_s
         self.shards: list[PoolShard] = [
@@ -238,54 +211,18 @@ class CrossbarPool:
         # `/search` serves against one read-only index, built lazily on
         # first use (seeded by the pool's seed, so every restart — and
         # any client that knows the seed — reconstructs it exactly).
-        self._search_index = search_index
+        self._search_index: SearchIndex | None = None
         self._search_lock = threading.Lock()
 
     def _build_shard(self, index: int) -> PoolShard:
-        """One shard from the pool's kept-verbatim construction inputs.
-
-        Used at construction and by :meth:`add_shard` — a shard added
-        live is indistinguishable from one built at boot (same seeded
-        harness, per-index retry jitter and chaos stream), which is what
-        keeps resized-pool pricing bit-identical to a fixed pool's.
-        """
-        harness = ComparisonHarness(
-            config=self.apim_config,
-            tile_elements=self.tile_elements,
-            rng_seed=self.seed,
-        )
-        breaker = CircuitBreaker(
-            failure_threshold=self._shard_failure_threshold,
-            cooldown_s=self._shard_cooldown_s,
-        )
-        supervisor = Supervisor(
-            retry=self._retry
-            or RetryPolicy(
-                max_attempts=3,
-                base_delay=0.002,
-                max_delay=0.05,
-                jitter_seed=self.seed + index,
-            ),
-            deadline_s=self._deadline_s,
-        )
-        chaos = None
-        if self._chaos_policy is not None:
-            from dataclasses import replace
-
-            from repro.runtime.chaos import ChaosInjector
-
-            chaos = ChaosInjector(
-                replace(
-                    self._chaos_policy,
-                    seed=self._chaos_policy.seed + index,
-                )
-            )
+        """Shard ``index`` from the pool's recipe, with a fresh breaker."""
         return PoolShard(
-            index=index,
-            harness=harness,
-            supervisor=supervisor,
-            breaker=breaker,
-            chaos=chaos,
+            index,
+            self.recipe,
+            CircuitBreaker(
+                failure_threshold=self._shard_failure_threshold,
+                cooldown_s=self._shard_cooldown_s,
+            ),
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -643,61 +580,18 @@ class CrossbarPool:
             # The registry's message enumerates every registered name;
             # forward it so the frontend's 400 is self-correcting.
             raise ServingError(str(exc)) from exc
-        if relax_bits < 0:
-            raise ServingError(f"relax_bits must be non-negative: {relax_bits}")
         if dataset_bytes <= 0:
             raise ServingError(f"dataset_bytes must be positive: {dataset_bytes}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServingError(f"deadline_s must be positive: {deadline_s}")
-        resolved_priority = (
-            self.serving_config.default_priority
-            if priority is None
-            else int(priority)
+        priority = self._priority(priority)
+        fingerprint = None
+        if idempotency_key is not None:
+            fingerprint = payload_fingerprint(
+                workload, int(relax_bits), int(dataset_bytes), tenant, priority
+            )
+        return self._reserve(
+            workload, relax_bits, dataset_bytes, tenant, priority,
+            deadline_s, block, idempotency_key, fingerprint,
         )
-        if idempotency_key is None:
-            return (
-                self._admit_new(
-                    workload, int(relax_bits), int(dataset_bytes), tenant,
-                    resolved_priority, deadline_s, block, None, None,
-                ),
-                False,
-            )
-        idempotency_key = str(idempotency_key)
-        if not idempotency_key or len(idempotency_key) > 256:
-            raise ServingError(
-                "idempotency_key must be a non-empty string of at most "
-                "256 characters"
-            )
-        fingerprint = payload_fingerprint(
-            workload, int(relax_bits), int(dataset_bytes), tenant,
-            resolved_priority,
-        )
-        # The key->id reservation is held across admission so two racing
-        # submits of the same key cannot both queue work.  Admission
-        # itself is fast (block=False on the HTTP path), and nothing in
-        # _admit_new takes this lock.
-        with self._idem_lock:
-            known = self._idempotency.get(idempotency_key)
-            if known is not None:
-                known_id, known_fp = known
-                if known_fp != fingerprint:
-                    record_idempotency("conflict")
-                    raise DuplicateRequestError(
-                        f"idempotency key {idempotency_key!r} was already "
-                        f"used by request {known_id!r} with a different "
-                        "payload",
-                        idempotency_key=idempotency_key,
-                        request_id=known_id,
-                    )
-                record_idempotency("hit")
-                return known_id, True
-            request_id = self._admit_new(
-                workload, int(relax_bits), int(dataset_bytes), tenant,
-                resolved_priority, deadline_s, block,
-                idempotency_key, fingerprint,
-            )
-            self._idempotency[idempotency_key] = (request_id, fingerprint)
-            return request_id, False
 
     # -- similarity search ----------------------------------------------------
 
@@ -705,8 +599,7 @@ class CrossbarPool:
         """The pool's serving index, built lazily on first use.
 
         Deterministic in ``self.seed`` (see
-        :func:`~repro.search.index.default_search_index`) unless a
-        pre-built index was injected at construction.
+        :func:`~repro.search.index.default_search_index`).
         """
         with self._search_lock:
             if self._search_index is None:
@@ -739,17 +632,6 @@ class CrossbarPool:
         query_bits = np.asarray(query)
         index.codebook.pack_query(query_bits)  # validates shape/values
         k = index.validate_k(k)
-        if relax_bits < 0:
-            raise ServingError(
-                f"relax_bits must be non-negative: {relax_bits}"
-            )
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServingError(f"deadline_s must be positive: {deadline_s}")
-        resolved_priority = (
-            self.serving_config.default_priority
-            if priority is None
-            else int(priority)
-        )
         # The journaled payload: enough to replay the identical retrieval
         # after a crash (the index itself is reconstructed from the seed).
         search = {
@@ -757,28 +639,63 @@ class CrossbarPool:
             "k": k,
         }
         dataset_bytes = index.entries * index.codebook.words_per_code * 8
-        if idempotency_key is None:
-            return (
-                self._admit_new(
-                    SEARCH_WORKLOAD, int(relax_bits), int(dataset_bytes),
-                    tenant, resolved_priority, deadline_s, block, None, None,
-                    search=search,
-                ),
-                False,
+        priority = self._priority(priority)
+        fingerprint = None
+        if idempotency_key is not None:
+            query_digest = hashlib.sha256(
+                np.ascontiguousarray(query_bits.astype(np.uint8)).tobytes()
+            ).hexdigest()[:16]
+            fingerprint = payload_fingerprint(
+                SEARCH_WORKLOAD, int(relax_bits), int(dataset_bytes), tenant,
+                priority, extra={"k": k, "query": query_digest},
             )
+        return self._reserve(
+            SEARCH_WORKLOAD, relax_bits, dataset_bytes, tenant, priority,
+            deadline_s, block, idempotency_key, fingerprint, search=search,
+        )
+
+    def _priority(self, priority: int | None) -> int:
+        if priority is None:
+            return self.serving_config.default_priority
+        return int(priority)
+
+    def _reserve(
+        self,
+        workload: str,
+        relax_bits: int,
+        dataset_bytes: float,
+        tenant: str,
+        priority: int,
+        deadline_s: float | None,
+        block: bool,
+        idempotency_key: str | None,
+        fingerprint: str | None,
+        search: dict | None = None,
+    ) -> tuple[str, bool]:
+        """The admission path both ``admit`` and ``admit_search`` share:
+        common validation, then either a fresh admission or — under an
+        idempotency key — the key's reservation: a hit returns the
+        original id, a different ``fingerprint`` is a 409 conflict."""
+        if relax_bits < 0:
+            raise ServingError(f"relax_bits must be non-negative: {relax_bits}")
+        if deadline_s is not None and deadline_s <= 0:
+            raise ServingError(f"deadline_s must be positive: {deadline_s}")
+        args = (
+            workload, int(relax_bits), int(dataset_bytes), tenant, priority,
+            deadline_s, block,
+        )
+        if idempotency_key is None:
+            return self._admit_new(*args, None, None, search=search), False
         idempotency_key = str(idempotency_key)
         if not idempotency_key or len(idempotency_key) > 256:
             raise ServingError(
                 "idempotency_key must be a non-empty string of at most "
                 "256 characters"
             )
-        query_digest = hashlib.sha256(
-            np.ascontiguousarray(query_bits.astype(np.uint8)).tobytes()
-        ).hexdigest()[:16]
-        fingerprint = payload_fingerprint(
-            SEARCH_WORKLOAD, int(relax_bits), int(dataset_bytes), tenant,
-            resolved_priority, extra={"k": k, "query": query_digest},
-        )
+        # The key->id reservation is held across admission so two racing
+        # submits of the same key cannot both queue work.  Admission
+        # itself is fast (block=False on the HTTP path), and nothing in
+        # _admit_new takes this lock.
         with self._idem_lock:
             known = self._idempotency.get(idempotency_key)
             if known is not None:
@@ -795,9 +712,7 @@ class CrossbarPool:
                 record_idempotency("hit")
                 return known_id, True
             request_id = self._admit_new(
-                SEARCH_WORKLOAD, int(relax_bits), int(dataset_bytes),
-                tenant, resolved_priority, deadline_s, block,
-                idempotency_key, fingerprint, search=search,
+                *args, idempotency_key, fingerprint, search=search
             )
             self._idempotency[idempotency_key] = (request_id, fingerprint)
             return request_id, False
@@ -1027,13 +942,14 @@ class CrossbarPool:
     def _expired(self, request: ServeRequest, now: float) -> bool:
         return request.deadline_at is not None and now >= request.deadline_at
 
-    def _dispatch(
-        self, shard: PoolShard, request: ServeRequest, execute=None
-    ) -> None:
+    def _dispatch(self, shard: PoolShard, request: ServeRequest) -> None:
         """Run one dequeued request on ``shard`` — or, when the shard's
         breaker is open, hand it back to the front of the queue so a
-        healthy shard picks it up (bounded by ``max_reroutes``)."""
-        if not shard.healthy and request.reroutes < self.max_reroutes:
+        healthy shard picks it up.  A request bounces at most once per
+        other live shard, then executes wherever it lands."""
+        if not shard.healthy and request.reroutes < max(
+            1, len(self.shards) - 1
+        ):
             request.trace_event(
                 "pool", "reroute", "shard breaker open",
                 shard=shard.index, reroutes=request.reroutes,
@@ -1045,7 +961,7 @@ class CrossbarPool:
         # the signal shrink uses to pick a victim that has nothing to lose.
         shard.in_flight += 1
         try:
-            self._run_request(shard, request, execute=execute)
+            self._run_request(shard, request)
         finally:
             shard.in_flight -= 1
 
@@ -1058,20 +974,16 @@ class CrossbarPool:
         once a request's worker re-drive budget is spent.  Returns the
         executor contract tuple ``(point, status, attempts, error)``.
         """
-        with use_trace(request.trace):
-            point = run_point(
-                shard.workload(request.workload),
-                request.relax_bits,
-                float(request.dataset_bytes),
-                shard.harness,
-                supervisor=shard.supervisor,
-                chaos=shard.chaos,
-                qos=self.qos,
-                max_relax_bits=self.max_relax_bits,
-                degradation_step=self.degradation_step,
-                key_prefix=f"{shard.key}/",
-                trace=request.trace,
-            )
+        point = run_point(
+            shard.workload(request.workload),
+            request.relax_bits,
+            float(request.dataset_bytes),
+            shard.harness,
+            supervisor=shard.supervisor,
+            chaos=shard.chaos,
+            key_prefix=f"{shard.key}/",
+            trace=request.trace,
+        )
         return point, point.status, point.attempts, None
 
     def _execute_search(
@@ -1126,12 +1038,7 @@ class CrossbarPool:
         }
         return search_out, "ok", 1, None
 
-    def _run_request(
-        self,
-        shard: PoolShard,
-        request: ServeRequest,
-        execute=None,
-    ) -> None:
+    def _run_request(self, shard: PoolShard, request: ServeRequest) -> None:
         now = time.monotonic()
         queue_wait = max(0.0, now - request.submitted_at)
         trace_id = request.trace.trace_id if request.trace else ""
@@ -1173,9 +1080,9 @@ class CrossbarPool:
                     shard, request
                 )
             else:
-                point, status, attempts, error = (
-                    execute or self._execute_local
-                )(shard, request)
+                point, status, attempts, error = self.runtime.execute(
+                    shard, request
+                )
         except Exception as exc:  # the executor contract says "never";
             point = None  # this is the belt-and-braces terminal path.
             status = "error"

@@ -71,6 +71,12 @@ class ShardRuntime(ABC):
     def after_submit(self) -> None:
         """Hook invoked after each successful admission (inline pumping)."""
 
+    def execute(self, shard, request) -> tuple:
+        """Run one dispatched request; returns ``(point, status, attempts,
+        error)``.  The default runs it in-process through the pool's
+        rescue ladder."""
+        return self.pool._execute_local(shard, request)
+
     def shard_added(self, shard) -> None:
         """Begin driving a shard added to a *started* pool.
 

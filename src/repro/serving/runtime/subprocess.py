@@ -1,14 +1,15 @@
 """Process-per-shard execution: GIL escape with crash containment.
 
 Each shard gets a worker process (`python -m repro.serving.runtime.worker`)
-plus a parent-side driver thread.  The driver pulls requests exactly like
-the thread runtime, but executes each request by round-tripping a frame
-through the worker's pipes — NumPy bit-plane pricing then runs in a
-process of its own, so four shards use four cores instead of fighting
-over one GIL.
+plus a parent-side driver thread.  The driver is the thread runtime's
+loop (this runtime subclasses it).  What this runtime adds is where a
+request executes — a frame round trip through the worker's pipes, so
+NumPy bit-plane pricing runs in a process of its own and four shards use
+four cores instead of fighting over one GIL — plus reaping workers that
+die while idle and tearing workers down when their shard leaves.
 
 The supervision ladder, on worker death (pipe EOF after SIGKILL / segfault
-/ OOM, or a hang past ``hang_timeout_s``, or lost framing):
+/ OOM, or a hang past ``HANG_TIMEOUT_S``, or lost framing):
 
 1. the death is **detected** and normalised to
    :class:`~repro.errors.WorkerCrashedError` (never a raw
@@ -16,7 +17,7 @@ The supervision ladder, on worker death (pipe EOF after SIGKILL / segfault
 2. the shard's circuit **breaker** records a failure — a crash-looping
    shard trips open and stops pulling traffic while it cools down;
 3. the worker is **respawned** under capped exponential backoff (the
-   death streak doubles the delay up to ``respawn_backoff_cap_s``);
+   death streak doubles the delay up to ``RESPAWN_BACKOFF_CAP_S``);
 4. the in-flight request is **re-driven** through the fresh worker, up to
    ``max_redrives`` times, then falls back to in-process execution via
    the pool's own rescue ladder — every admitted request still reaches
@@ -30,7 +31,6 @@ boundary.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import select
 import signal
@@ -50,15 +50,20 @@ from repro.observability.instruments import (
 from repro.observability.registry import active_registry, apply_counter_deltas
 from repro.observability.tracing import replay_events
 from repro.runtime.campaign import CampaignPoint
-from repro.serving.runtime.base import ShardRuntime
-from repro.serving.runtime.protocol import (
-    MAX_FRAME_BYTES,
-    read_frame,
-    write_frame,
-)
+from repro.serving.runtime.protocol import read_frame, write_frame
+from repro.serving.runtime.thread import ThreadRuntime
 from repro.serving.scheduler import RESULT_STATUSES
 
 __all__ = ["SubprocessRuntime", "WorkerHandle"]
+
+#: Reply deadline for one request; a worker silent past it is killed.
+HANG_TIMEOUT_S = 120.0
+#: Deadline for a fresh worker's ``ready`` handshake.
+SPAWN_TIMEOUT_S = 60.0
+#: Respawn backoff after a death streak of ``n``:
+#: ``min(RESPAWN_BACKOFF_CAP_S, RESPAWN_BACKOFF_BASE_S * 2 ** (n - 1))``.
+RESPAWN_BACKOFF_BASE_S = 0.05
+RESPAWN_BACKOFF_CAP_S = 1.0
 
 
 def _worker_env() -> dict:
@@ -79,15 +84,8 @@ def _worker_env() -> dict:
 class WorkerHandle:
     """One live worker process: spawn, frame I/O, liveness, teardown."""
 
-    def __init__(
-        self,
-        shard_index: int,
-        spec: dict,
-        spawn_timeout_s: float = 60.0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, shard_index: int, init_frame: dict) -> None:
         self.shard_index = shard_index
-        self.max_frame_bytes = max_frame_bytes
         self._lock = threading.Lock()
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.serving.runtime.worker"],
@@ -98,8 +96,8 @@ class WorkerHandle:
         )
         self._fd = self.process.stdout.fileno()
         try:
-            self.send({"type": "init", **spec})
-            ready = self.recv(timeout=spawn_timeout_s)
+            self.send(init_frame)
+            ready = self.recv(timeout=SPAWN_TIMEOUT_S)
         except (WorkerCrashedError, ProtocolError):
             self.kill()
             raise
@@ -122,9 +120,7 @@ class WorkerHandle:
         """Write one frame; raw pipe errors become worker-crash errors."""
         try:
             with self._lock:
-                write_frame(
-                    self.process.stdin, payload, self.max_frame_bytes
-                )
+                write_frame(self.process.stdin, payload)
         except (BrokenPipeError, EOFError, OSError, ValueError) as exc:
             raise WorkerCrashedError(
                 f"shard {self.shard_index} worker pid {self.pid} is gone "
@@ -158,7 +154,7 @@ class WorkerHandle:
                     return os.read(self._fd, n)
 
         try:
-            frame = read_frame(read, self.max_frame_bytes, eof_ok=True)
+            frame = read_frame(read, eof_ok=True)
         except TimeoutError:
             pid = self.pid
             self.kill()
@@ -225,34 +221,17 @@ class WorkerHandle:
                 pass
 
 
-class SubprocessRuntime(ShardRuntime):
-    """One worker process per shard; see the module docstring."""
+class SubprocessRuntime(ThreadRuntime):
+    """One worker process per shard behind the thread runtime's driver;
+    see the module docstring."""
 
     name = "subprocess"
 
-    def __init__(
-        self,
-        hang_timeout_s: float = 120.0,
-        spawn_timeout_s: float = 60.0,
-        max_redrives: int = 2,
-        respawn_backoff_base_s: float = 0.05,
-        respawn_backoff_cap_s: float = 1.0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, max_redrives: int = 2) -> None:
         super().__init__()
-        if hang_timeout_s <= 0 or spawn_timeout_s <= 0:
-            raise ServingError("worker timeouts must be positive")
         if max_redrives < 0:
             raise ServingError("max_redrives must be non-negative")
-        self.hang_timeout_s = hang_timeout_s
-        self.spawn_timeout_s = spawn_timeout_s
         self.max_redrives = max_redrives
-        self.respawn_backoff_base_s = respawn_backoff_base_s
-        self.respawn_backoff_cap_s = respawn_backoff_cap_s
-        self.max_frame_bytes = max_frame_bytes
-        self._threads: dict[int, threading.Thread] = {}
-        self._shard_stops: dict[int, threading.Event] = {}
-        self._stop = threading.Event()
         self._handles: dict[int, WorkerHandle | None] = {}
         self._streaks: dict[int, int] = {}
         self._worker_cpu_s: dict[int, float] = {}
@@ -260,62 +239,23 @@ class SubprocessRuntime(ShardRuntime):
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _spawn_driver(self, shard) -> None:
-        pool = self.pool
+    def _spawn(self, shard) -> None:
         self._handles.setdefault(shard.index, None)
         self._streaks.setdefault(shard.index, 0)
         self._worker_cpu_s.setdefault(shard.index, 0.0)
         self._spawn_locks.setdefault(shard.index, threading.Lock())
-        stop = self._shard_stops[shard.index] = threading.Event()
-        thread = threading.Thread(
-            target=self._drive,
-            args=(shard, stop),
-            name=f"crossbar-{shard.key}-driver",
-            daemon=True,
-        )
-        self._threads[shard.index] = thread
-        thread.start()
-        pool.scheduler.register_worker()
-
-    def start(self) -> None:
-        self._stop.clear()
-        for shard in self.pool.shards:
-            self._spawn_driver(shard)
-
-    def shard_added(self, shard) -> None:
-        self._spawn_driver(shard)
+        super()._spawn(shard)
 
     def shard_removed(self, shard, timeout: float = 30.0) -> None:
-        from repro.errors import FleetError
-
-        stop = self._shard_stops.pop(shard.index, None)
-        thread = self._threads.pop(shard.index, None)
-        if stop is not None:
-            stop.set()
-        alive = False
-        if thread is not None:
-            thread.join(timeout=timeout)
-            alive = thread.is_alive()
-        if not alive:
-            handle = self._handles.pop(shard.index, None)
-            if handle is not None:
-                handle.shutdown()
-        self.pool.scheduler.unregister_worker()
-        if alive:
-            # Worker teardown is skipped — the driver may still be
-            # round-tripping its last request through the process.
-            raise FleetError(
-                f"{shard.key} driver did not drain within {timeout:.1f}s; "
-                "its in-flight request completes in the background"
-            )
+        # A driver that missed the deadline raises here and keeps its
+        # worker: it may still be round-tripping its last request.
+        super().shard_removed(shard, timeout=timeout)
+        handle = self._handles.pop(shard.index, None)
+        if handle is not None:
+            handle.shutdown()
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        self._stop.set()
-        threads = list(self._threads.values())
-        for thread in threads:
-            thread.join(timeout=timeout)
-        self._threads.clear()
-        self._shard_stops.clear()
+        super().stop(drain=drain, timeout=timeout)
         for index, handle in list(self._handles.items()):
             if handle is not None:
                 if drain:
@@ -323,46 +263,18 @@ class SubprocessRuntime(ShardRuntime):
                 else:
                     handle.kill()
                 self._handles[index] = None
-        for _ in threads:
-            self.pool.scheduler.unregister_worker()
 
     # -- worker supervision ---------------------------------------------------
 
-    def _spec(self, shard) -> dict:
-        """The staged environment for one shard's worker process."""
-        pool = self.pool
-        retry = shard.supervisor.retry
-        spec = {
+    def _init_frame(self, shard) -> dict:
+        """The staged environment for one shard's worker process: the
+        pool's shard recipe, the shard index and the trace-event bound."""
+        return {
+            "type": "init",
             "shard_index": shard.index,
-            "seed": pool.seed,
-            "tile_elements": pool.tile_elements,
-            "apim_config": (
-                None
-                if pool.apim_config is None
-                else dataclasses.asdict(pool.apim_config)
-            ),
-            "retry": {
-                "max_attempts": retry.max_attempts,
-                "base_delay": retry.base_delay,
-                "multiplier": retry.multiplier,
-                "max_delay": retry.max_delay,
-                "jitter_seed": retry.jitter_seed,
-            },
-            "deadline_s": shard.supervisor.deadline_s,
-            "qos": {
-                "min_psnr_db": pool.qos.min_psnr_db,
-                "max_relative_error": pool.qos.max_relative_error,
-            },
-            "max_relax_bits": pool.max_relax_bits,
-            "degradation_step": pool.degradation_step,
-            "max_trace_events": pool.traces.max_events,
-            "chaos": (
-                None
-                if shard.chaos is None
-                else dataclasses.asdict(shard.chaos.policy)
-            ),
+            **self.pool.recipe.to_frame(),
+            "max_trace_events": self.pool.traces.max_events,
         }
-        return spec
 
     def _reap(self, shard) -> None:
         """Notice a worker that died between requests (idle death)."""
@@ -387,28 +299,16 @@ class SubprocessRuntime(ShardRuntime):
                 return handle
             streak = self._streaks.get(shard.index, 0)
             respawn = streak > 0
-            if streak > 0:
-                delay = min(
-                    self.respawn_backoff_cap_s,
-                    self.respawn_backoff_base_s * (2 ** (streak - 1)),
+            if respawn:
+                time.sleep(
+                    min(
+                        RESPAWN_BACKOFF_CAP_S,
+                        RESPAWN_BACKOFF_BASE_S * (2 ** (streak - 1)),
+                    )
                 )
-                if delay > 0:
-                    time.sleep(delay)
             try:
-                handle = WorkerHandle(
-                    shard.index,
-                    self._spec(shard),
-                    spawn_timeout_s=self.spawn_timeout_s,
-                    max_frame_bytes=self.max_frame_bytes,
-                )
-            except (WorkerCrashedError, ProtocolError) as exc:
-                self._streaks[shard.index] = streak + 1
-                raise WorkerCrashedError(
-                    f"shard {shard.index} worker failed to spawn: {exc}",
-                    shard=shard.index,
-                    reason="spawn",
-                ) from exc
-            except OSError as exc:
+                handle = WorkerHandle(shard.index, self._init_frame(shard))
+            except (WorkerCrashedError, ProtocolError, OSError) as exc:
                 self._streaks[shard.index] = streak + 1
                 raise WorkerCrashedError(
                     f"shard {shard.index} worker failed to spawn: {exc}",
@@ -422,21 +322,6 @@ class SubprocessRuntime(ShardRuntime):
                 self._count("respawns")
                 record_worker_respawn(shard.index)
             return handle
-
-    # -- the driver loop ------------------------------------------------------
-
-    def _drive(self, shard, shard_stop: threading.Event) -> None:
-        pool = self.pool
-        while not self._stop.is_set() and not shard_stop.is_set():
-            self._reap(shard)
-            if not shard.healthy:
-                record_shard_health(shard.index, False)
-                time.sleep(min(pool.idle_poll_s, 0.05))
-                continue
-            record_shard_health(shard.index, True)
-            batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
-            if batch:
-                pool._dispatch(shard, batch[0], execute=self.execute)
 
     def execute(self, shard, request):
         """Run one request through the shard's worker process.
@@ -473,7 +358,7 @@ class SubprocessRuntime(ShardRuntime):
                         shard=shard.index, pid=handle.pid,
                     )
                     handle.sigkill_mid_request()
-                reply = handle.recv(timeout=self.hang_timeout_s)
+                reply = handle.recv(timeout=HANG_TIMEOUT_S)
                 if (
                     reply.get("type") != "result"
                     or reply.get("id") != request.id
@@ -554,7 +439,6 @@ class SubprocessRuntime(ShardRuntime):
 
     def stats(self) -> dict:
         out = super().stats()
-        out["hang_timeout_s"] = self.hang_timeout_s
         out["max_redrives"] = self.max_redrives
         out["shards"] = {
             str(index): {

@@ -1,4 +1,5 @@
-"""One daemon thread per shard: the classic in-process runtime."""
+"""One driver thread per shard: the in-process runtime and the shared
+driver loop the subprocess runtime builds on."""
 
 from __future__ import annotations
 
@@ -11,21 +12,26 @@ from repro.serving.runtime.base import ShardRuntime
 
 __all__ = ["ThreadRuntime"]
 
+#: How long an idle driver blocks on the queue per poll, and how long a
+#: driver whose breaker is open rests before looking again.
+IDLE_POLL_S = 0.02
+
 
 class ThreadRuntime(ShardRuntime):
-    """The pre-runtime :class:`CrossbarPool` behaviour, factored out.
+    """Each shard gets a daemon driver thread pulling one request at a
+    time from the scheduler and running it through :meth:`execute`.
 
-    Each shard gets a daemon thread pulling one request at a time from
-    the scheduler and running it through the pool's rescue ladder.  Shards
-    share the GIL, so NumPy-heavy loads do not scale with shard count —
-    that is :class:`~repro.serving.runtime.subprocess.SubprocessRuntime`'s
-    job — but threads are free to start and right for small pools.
+    Shards share the GIL, so NumPy-heavy loads do not scale with shard
+    count — that is
+    :class:`~repro.serving.runtime.subprocess.SubprocessRuntime`'s job,
+    which reuses this driver and only changes where a request executes —
+    but threads are free to start and right for small pools.
 
-    Threads are tracked per shard so the fleet control plane can resize a
-    live pool: :meth:`shard_added` spawns one thread for the newcomer,
-    :meth:`shard_removed` signals the victim's thread and joins it — the
-    thread finishes its current request first, so every request the shard
-    held reaches a terminal result before the resize returns.
+    Drivers are tracked per shard so the fleet control plane can resize a
+    live pool: :meth:`shard_added` spawns one for the newcomer,
+    :meth:`shard_removed` signals the victim's driver and joins it — the
+    driver finishes its current request first, so every request the
+    shard held reaches a terminal result before the resize returns.
     """
 
     name = "thread"
@@ -63,28 +69,18 @@ class ThreadRuntime(ShardRuntime):
             stop.set()
         if thread is not None:
             thread.join(timeout=timeout)
-            if thread.is_alive():
-                # The request in flight outlives the deadline.  The thread
-                # still terminates every request it holds (the rescue
-                # ladder guarantees it) — only the resize's bounded-time
-                # promise is broken, which callers must hear about.
-                raise FleetError(
-                    f"{shard.key} did not drain within {timeout:.1f}s; "
-                    "its in-flight request completes in the background"
-                )
+        # The shard left the pool whether or not its driver drained in
+        # time: deadline admission must stop counting it as a worker.
         self.pool.scheduler.unregister_worker()
-
-    def _drive(self, shard, shard_stop: threading.Event) -> None:
-        pool = self.pool
-        while not self._stop.is_set() and not shard_stop.is_set():
-            if not shard.healthy:
-                record_shard_health(shard.index, False)
-                time.sleep(min(pool.idle_poll_s, 0.05))
-                continue
-            record_shard_health(shard.index, True)
-            batch = pool.scheduler.next_batch(timeout=pool.idle_poll_s)
-            if batch:
-                pool._dispatch(shard, batch[0])
+        if thread is not None and thread.is_alive():
+            # The request in flight outlives the deadline.  The driver
+            # still terminates every request it holds (the rescue ladder
+            # guarantees it) — only the resize's bounded-time promise is
+            # broken, which callers must hear about.
+            raise FleetError(
+                f"{shard.key} did not drain within {timeout:.1f}s; "
+                "its in-flight request completes in the background"
+            )
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         self._stop.set()
@@ -95,3 +91,20 @@ class ThreadRuntime(ShardRuntime):
         self._shard_stops.clear()
         for _ in threads:
             self.pool.scheduler.unregister_worker()
+
+    def _drive(self, shard, shard_stop: threading.Event) -> None:
+        pool = self.pool
+        while not self._stop.is_set() and not shard_stop.is_set():
+            self._reap(shard)
+            if not shard.healthy:
+                record_shard_health(shard.index, False)
+                time.sleep(IDLE_POLL_S)
+                continue
+            record_shard_health(shard.index, True)
+            batch = pool.scheduler.next_batch(timeout=IDLE_POLL_S)
+            if batch:
+                pool._dispatch(shard, batch[0])
+
+    def _reap(self, shard) -> None:
+        """Per-poll hook: notice a shard resource that died while idle
+        (in-process shards hold none)."""

@@ -4,11 +4,12 @@ One worker process serves one shard.  It speaks the length-prefixed JSON
 frame protocol (:mod:`repro.serving.runtime.protocol`) over its stdin /
 stdout pipes:
 
-- first frame in must be ``{"type": "init", ...}`` carrying the staged
-  shard environment — seeded RNG, APIM config, retry/deadline policy,
-  chaos policy, QoS bounds — from which the worker builds the same
-  harness + supervisor + injector stack a thread-runtime shard owns;
-  it replies ``{"type": "ready", "pid": ...}``;
+- first frame in must be ``{"type": "init", ...}`` carrying the shard
+  index, the pool's :class:`~repro.serving.runtime.shard.ShardRecipe`
+  (seed, tile size, APIM config, chaos policy) and the trace-event
+  bound, from which the worker builds the same
+  :class:`~repro.serving.runtime.shard.ShardUnit` an in-process shard
+  owns; it replies ``{"type": "ready", "pid": ...}``;
 - ``{"type": "run", "id", "workload", "relax_bits", "dataset_bytes"}``
   executes one request through :func:`~repro.runtime.campaign.run_point`
   (the full rescue ladder) and replies a ``result`` frame carrying the
@@ -34,7 +35,6 @@ import sys
 import time
 import traceback
 
-from repro.core.config import APIMConfig
 from repro.errors import ProtocolError
 from repro.observability.registry import (
     counter_deltas,
@@ -42,17 +42,9 @@ from repro.observability.registry import (
     snapshot_counters,
 )
 from repro.observability.tracing import BufferedTraceContext
-from repro.quality.qos import QoSPolicy
 from repro.runtime.campaign import run_point
-from repro.runtime.chaos import ChaosInjector, ChaosPolicy
-from repro.runtime.comparison import ComparisonHarness
-from repro.runtime.supervisor import RetryPolicy, Supervisor
-from repro.serving.runtime.protocol import (
-    MAX_FRAME_BYTES,
-    read_frame,
-    write_frame,
-)
-from repro.workloads import workload_by_name
+from repro.serving.runtime.protocol import read_frame, write_frame
+from repro.serving.runtime.shard import ShardRecipe, ShardUnit
 
 __all__ = ["main"]
 
@@ -60,47 +52,12 @@ __all__ = ["main"]
 class _WorkerState:
     """The staged shard environment, built from one init frame."""
 
-    def __init__(self, spec: dict) -> None:
-        self.shard_index = int(spec.get("shard_index", 0))
-        self.key = f"shard{self.shard_index}"
-        seed = int(spec.get("seed", 2017))
-        config = spec.get("apim_config")
-        self.harness = ComparisonHarness(
-            config=APIMConfig(**config) if config else None,
-            tile_elements=int(spec.get("tile_elements", 1 << 10)),
-            rng_seed=seed,
+    def __init__(self, frame: dict) -> None:
+        self.shard = ShardUnit(
+            int(frame["shard_index"]), ShardRecipe.from_frame(frame)
         )
-        retry = spec.get("retry") or {}
-        self.supervisor = Supervisor(
-            retry=RetryPolicy(
-                max_attempts=int(retry.get("max_attempts", 3)),
-                base_delay=float(retry.get("base_delay", 0.002)),
-                multiplier=float(retry.get("multiplier", 2.0)),
-                max_delay=float(retry.get("max_delay", 0.05)),
-                jitter_seed=int(retry.get("jitter_seed", seed)),
-            ),
-            deadline_s=spec.get("deadline_s"),
-        )
-        chaos = spec.get("chaos")
-        self.chaos = (
-            ChaosInjector(ChaosPolicy(**chaos)) if chaos else None
-        )
-        qos = spec.get("qos") or {}
-        self.qos = QoSPolicy(
-            min_psnr_db=float(qos.get("min_psnr_db", 30.0)),
-            max_relative_error=float(qos.get("max_relative_error", 0.10)),
-        )
-        self.max_relax_bits = int(spec.get("max_relax_bits", 32))
-        self.degradation_step = int(spec.get("degradation_step", 4))
-        self.max_trace_events = int(spec.get("max_trace_events", 512))
+        self.max_trace_events = int(frame["max_trace_events"])
         self.served = 0
-        self._workloads: dict = {}
-
-    def workload(self, name: str):
-        instance = self._workloads.get(name)
-        if instance is None:
-            instance = self._workloads[name] = workload_by_name(name)
-        return instance
 
 
 def _run(state: _WorkerState, frame: dict) -> dict:
@@ -115,18 +72,16 @@ def _run(state: _WorkerState, frame: dict) -> dict:
     status = "error"
     attempts = 0
     error = None
+    shard = state.shard
     try:
         point = run_point(
-            state.workload(str(frame["workload"])),
+            shard.workload(str(frame["workload"])),
             int(frame.get("relax_bits", 0)),
             float(frame.get("dataset_bytes", 0) or 64 << 20),
-            state.harness,
-            supervisor=state.supervisor,
-            chaos=state.chaos,
-            qos=state.qos,
-            max_relax_bits=state.max_relax_bits,
-            degradation_step=state.degradation_step,
-            key_prefix=f"{state.key}/",
+            shard.harness,
+            supervisor=shard.supervisor,
+            chaos=shard.chaos,
+            key_prefix=f"{shard.key}/",
             trace=buffer,
         )
         status = point.status
@@ -134,7 +89,7 @@ def _run(state: _WorkerState, frame: dict) -> dict:
     except Exception as exc:  # belt and braces: run_point says "never"
         error = f"{type(exc).__name__}: {exc}"
         buffer.event(
-            "worker", "error", error, shard=state.shard_index,
+            "worker", "error", error, shard=shard.index,
         )
     state.served += 1
     return {
@@ -166,7 +121,7 @@ def main() -> int:
     state: _WorkerState | None = None
     while True:
         try:
-            frame = read_frame(read, MAX_FRAME_BYTES, eof_ok=True)
+            frame = read_frame(read, eof_ok=True)
         except ProtocolError as exc:
             print(f"worker: unrecoverable stream error: {exc}",
                   file=sys.stderr)
@@ -180,7 +135,7 @@ def main() -> int:
                 reply = {
                     "type": "ready",
                     "pid": os.getpid(),
-                    "shard": state.shard_index,
+                    "shard": state.shard.index,
                 }
             elif kind == "ping":
                 reply = {"type": "pong", "pid": os.getpid()}

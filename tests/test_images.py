@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import WorkloadError
-from repro.workloads.images import image_shape_for, synthetic_image
+from repro.workloads.images import (
+    image_shape_for,
+    linear_percentiles,
+    synthetic_image,
+)
 
 
 class TestImageShapeFor:
@@ -74,3 +85,38 @@ class TestSyntheticImage:
     def test_rejects_tiny_shapes(self):
         with pytest.raises(WorkloadError):
             synthetic_image((4, 100), np.random.default_rng(0))
+
+
+class TestLinearPercentiles:
+    @given(
+        values=arrays(
+            np.float64,
+            st.integers(1, 400),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, width=64),
+        ),
+        q=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_percentile_bit_for_bit(self, values, q):
+        expected = np.percentile(values, q)
+        got = linear_percentiles(values, q)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_image_tile_does_not_import_numpy_ma(self):
+        """``np.percentile`` (and ``np.unique``) import ``numpy.ma`` on
+        first use; a cold shard's first image tile must not pay that."""
+        probe = (
+            "import sys, numpy as np; "
+            "from repro.workloads import workload_by_name; "
+            "workload_by_name('Sobel').generate(512, np.random.default_rng(1)); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["repro"].__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"

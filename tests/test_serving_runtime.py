@@ -27,11 +27,12 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from repro.errors import ServingError, ShardUnavailableError
+from repro.errors import FleetError, ServingError, ShardUnavailableError
 from repro.runtime.campaign import run_campaign
 from repro.runtime.chaos import ChaosInjector, ChaosPolicy
 from repro.serving.pool import Client, CrossbarPool
@@ -236,6 +237,62 @@ class TestCrashRecovery:
         assert health["runtime"] == "subprocess"
         assert health["workers"]["deaths"] == 1
         assert health["workers"]["respawns"] == 1
+
+
+class _Hold(ChaosInjector):
+    """A zero-rate injector that parks each request it sees until
+    ``release`` is set: in-process pricing waits inside :meth:`wrap`, the
+    subprocess runtime inside the parent's worker-kill draw."""
+
+    def __init__(self, release: threading.Event):
+        super().__init__(ChaosPolicy())
+        self._release = release
+
+    def wrap(self, key, fn):
+        inner = super().wrap(key, fn)
+
+        def held():
+            self._release.wait(30.0)
+            return inner()
+
+        return held
+
+    def should_kill_worker(self, key: str) -> bool:
+        self._release.wait(30.0)
+        return False
+
+
+class TestShrinkTimeout:
+    @pytest.mark.parametrize("runtime", ["thread", "subprocess"])
+    def test_timed_out_drain_raises_and_unregisters_the_worker(
+        self, runtime
+    ):
+        """A shard whose request outlives the drain deadline raises
+        FleetError, yet stops counting as a scheduler worker — deadline
+        admission must not divide backlog by a shard that left."""
+        release = threading.Event()
+        pool = CrossbarPool(
+            shards=2, tile_elements=TILE, seed=11, runtime=runtime
+        )
+        for shard in pool.shards:
+            shard.chaos = _Hold(release)
+        with pool:
+            request_id = pool.submit(
+                "Robert", relax_bits=8, dataset_bytes=1 << 20
+            )
+            deadline = time.monotonic() + 30.0
+            while not any(s.in_flight for s in pool.shards):
+                assert time.monotonic() < deadline, "request never dispatched"
+                time.sleep(0.01)
+            busy = next(s for s in pool.shards if s.in_flight)
+            try:
+                with pytest.raises(FleetError, match="did not drain"):
+                    pool.remove_shard(busy.index, timeout=0.1)
+                workers = pool.scheduler.stats()["workers"]
+            finally:
+                release.set()
+            assert workers == len(pool.shards) == 1
+            assert pool.result(request_id, timeout=60.0).status == "ok"
 
 
 class TestCampaignBitIdentity:

@@ -156,12 +156,24 @@ class TestTelemetryEndpoints:
                 assert stats["telemetry"] is None
 
 
-def test_top_once_smoke():
-    """``repro top --once`` renders the dashboard and exits 0 (the CI
-    smoke): the demo fleet's injected slow traffic must fire the page."""
+def test_top_once_renders_a_live_server(telemetry_server, capsys):
+    """``repro top --url URL --once`` against a live telemetry server
+    exits 0 and renders every shard row and the firing page."""
     from repro.cli import main
 
-    assert main(["top", "--once"]) == 0
+    pool, pipeline, server = telemetry_server
+    target = pool.slo.policy.latency_target_s
+    for _ in range(64):
+        pool.latency.observe("e2e", 2.0 * target)
+    pipeline.tick()
+    assert main(["top", "--url", server.url, "--once"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("repro top — 2 shard(s), 2 healthy")
+    assert "FIRING: e2e_p99_above_target" in out
+    for index in (0, 1):
+        assert re.search(rf"^  {index} +True ", out, re.MULTILINE), out
+    assert re.search(r"^  e2e_p99_above_target +firing +page ", out,
+                     re.MULTILINE), out
 
 
 def test_top_url_unreachable_is_an_error_not_a_traceback(capsys):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 import threading
 import time
 
@@ -77,6 +78,7 @@ class TestTraceStore:
         assert store.spilled == 1
         assert store.get(oldest.trace_id) is None
         assert store.get("req-1") is None  # alias cleaned with the record
+        store.close()
         (spilled,) = load_spilled(path)
         assert spilled.trace_id == oldest.trace_id
         assert spilled.baggage == {"n": 1}
@@ -176,12 +178,119 @@ class TestTraceStore:
         small, large = per_op_median(256), per_op_median(4096)
         assert large / small < 2, (small, large)
 
+    def test_spill_cost_per_request_is_independent_of_spill_file_size(
+        self, tmp_path
+    ):
+        """A full store's new_trace costs the same whether the spill file
+        already holds 256 or 4096 records: eviction appends one record,
+        it never rewrites the file."""
+        line = json.dumps(
+            {"type": "trace", "v": 1, "trace_id": "old", "created_ts": 0.0,
+             "baggage": {"pad": "x" * 900}, "events": [],
+             "dropped_events": 0}
+        ) + "\n"
+
+        def per_op_median(prior_records, name):
+            path = tmp_path / name
+            path.write_text(line * prior_records, encoding="utf-8")
+            store = TraceStore(capacity=8, id_prefix="t",
+                               spill_path=str(path))
+            for _ in range(8):  # fill it: every new_trace now spills
+                store.new_trace()
+            samples = []
+            for _ in range(60):
+                start = time.perf_counter()
+                store.new_trace()
+                samples.append(time.perf_counter() - start)
+            store.close()
+            assert store.spilled == 60
+            return statistics.median(samples)
+
+        small = per_op_median(256, "small.jsonl")
+        large = per_op_median(16 * 256, "large.jsonl")
+        assert large / small < 2, (small, large)
+
+    def test_second_store_appends_to_an_existing_spill_log(
+        self, tmp_path
+    ):
+        path = tmp_path / "typed.jsonl"
+        first = _store(capacity=1, spill_path=str(path))
+        first.new_trace(n=1)
+        first.new_trace(n=2)
+        first.close()
+        second = _store(capacity=1, spill_path=str(path))
+        second.new_trace(n=3)
+        second.new_trace(n=4)
+        second.close()
+        spilled = load_spilled(str(path))
+        assert [r.baggage["n"] for r in spilled] == [1, 3]
+        with open(path, encoding="utf-8") as handle:
+            assert all(
+                json.loads(row)["type"] == "trace" for row in handle
+            )
+
+    def test_concurrent_evictions_spill_every_record_once(self, tmp_path):
+        """Writers racing on a full store each append their own evictions
+        outside the store lock: every evicted trace lands in the spill
+        log exactly once and the counters agree."""
+        path = str(tmp_path / "race.jsonl")
+        store = TraceStore(capacity=4, id_prefix="t", spill_path=path)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [store.new_trace() for _ in range(50)]
+                )
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+            store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        spilled = load_spilled(path)
+        assert store.evicted == store.spilled == len(spilled) == 8 * 50 - 4
+        assert len({record.trace_id for record in spilled}) == len(spilled)
+
+    def test_untyped_spill_file_loads_but_is_never_appended_to(
+        self, tmp_path
+    ):
+        """Spill files from before records were typed still load; a store
+        refuses to append to one rather than let torn-tail recovery
+        truncate the records it holds."""
+        path = tmp_path / "untyped.jsonl"
+        path.write_text(
+            json.dumps({"trace_id": "t-0", "created_ts": 1.5,
+                        "baggage": {"n": 1}, "events": [],
+                        "dropped_events": 0}) + "\n",
+            encoding="utf-8",
+        )
+        store = _store(capacity=1, spill_path=str(path))
+        store.new_trace()
+        with pytest.raises(TracingError, match="untyped"):
+            store.new_trace()
+        (record,) = load_spilled(str(path))
+        assert (record.trace_id, record.baggage) == ("t-0", {"n": 1})
+
+    def test_unwritable_spill_path_raises_tracing_error(self, tmp_path):
+        store = _store(
+            capacity=1, spill_path=str(tmp_path / "missing" / "spill.jsonl")
+        )
+        store.new_trace()
+        with pytest.raises(TracingError):
+            store.new_trace()
+
     def test_spill_all_flushes_every_resident_trace(self, tmp_path):
         path = str(tmp_path / "flush.jsonl")
         store = _store(spill_path=path)
         store.new_trace()
         store.new_trace()
         assert store.spill_all() == 2
+        store.close()
         assert len(load_spilled(path)) == 2
 
     def test_bad_config_raises(self):
@@ -195,6 +304,7 @@ class TestTraceStore:
         store = _store(capacity=1, spill_path=path)
         store.new_trace()
         store.new_trace()  # spills the first
+        store.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"trace_id": "torn-')  # crash mid-write
         assert len(load_spilled(path)) == 1
@@ -396,6 +506,28 @@ class TestPoolTracing:
         kinds = [e.kind for e in store.get(ctx.trace_id).events]
         assert kinds == ["reroute", "reroute_requeue"]
         assert request.reroutes == 1
+
+    def test_reroute_bound_follows_live_resize(self):
+        """The reroute bound is one bounce per other *live* shard: a pool
+        grown from 1 shard to 3 bounces a request off a sick shard twice,
+        not the once its boot size allowed."""
+        store = TraceStore(id_prefix="t")
+        pool = CrossbarPool(shards=1, tile_elements=TILE,
+                            shard_cooldown_s=60.0, trace_store=store)
+        pool.add_shard()
+        pool.add_shard()
+        ctx = store.new_trace()
+        request = ServeRequest(
+            id="rr-1", workload="Robert", tenant="rr", trace=ctx,
+        )
+        request.reroutes = 1  # already bounced once
+        sick = pool.shards[0]
+        for _ in range(sick.breaker.failure_threshold):
+            sick.breaker.record_failure(sick.key)
+        pool._dispatch(sick, request)
+        kinds = [e.kind for e in store.get(ctx.trace_id).events]
+        assert kinds == ["reroute", "reroute_requeue"]
+        assert request.reroutes == 2
 
     def test_expired_request_trace_records_the_expiry(self):
         import time as time_module
